@@ -15,13 +15,17 @@ needs a single uniform draw.
 
 ESPs are evaluated by the O(N*C) dynamic-programming recurrence
 E[j][k] = E[j-1][k] + w_j * E[j-1][k-1]. All terms are nonnegative, so the
-forward pass is numerically benign; the leave-one-out values use the
-deletion recurrence f_k = e_k - w_i * f_{k-1}, which can cancel
-catastrophically, guarded here by an error-amplification bound with a full
-per-i recomputation as fallback. Weights are always normalized to
-max(w) = 1 before evaluation (marginals depend only on count differences),
-and a scaled mantissa/exponent evaluation covers the regimes where plain
-doubles would underflow.
+forward pass is numerically benign. Weights are always normalized to
+max(w) = 1 before evaluation (marginals depend only on count differences).
+The leave-one-out values take one of two paths:
+
+- plain doubles, the cheap path at small N: the deletion recurrence
+  f_k = e_k - w_i * f_{k-1}, which can cancel catastrophically, guarded by
+  an error-amplification bound with a per-index recomputation as fallback;
+- mantissa/exponent pairs, once e_C leaves the double range: prefix rows
+  P_i[a] = e_a(w_1..w_i) and a rolling suffix row S_{i+1}[b] =
+  e_b(w_{i+1}..w_N) give e_{C-1}(w_{-i}) = sum_a P_{i-1}[a] * S_{i+1}[C-1-a],
+  a sum of nonnegative terms, so it is exact to rounding in O(N*C).
 """
 
 from __future__ import annotations
@@ -65,110 +69,98 @@ def _log_to_pair(log_weight: float) -> tuple[float, int]:
 _LOG2E = 1.0 / math.log(2.0)
 
 
-def _esp_scaled_pairs(pairs, order: int, skip: int = -1) -> tuple[list[float], list[int]]:
-    """DP with per-column scaling: e_k = m[k] * 2**x[k], mantissas in [0.5, 1).
-
-    Weights arrive as (mantissa, exponent) pairs, mantissa 0 meaning a true
-    zero. `skip` optionally deletes one index, for exact leave-one-out.
-    """
+def _esp_push(m: list[float], x: list[int], wm: float, wx: int, top: int) -> None:
+    """One DP step on a row with per-column scaling, e_k = m[k] * 2**x[k] and
+    mantissas in [0.5, 1): fold the weight wm * 2**wx into e_1..e_top in
+    place. Mantissa 0 means a true zero."""
+    if wm == 0.0:
+        return
     frexp, ldexp = math.frexp, math.ldexp
-    m = [0.0] * (order + 1)
-    x = [0] * (order + 1)
-    m[0] = 0.5
-    x[0] = 1
-    filled = 0
+    for k in range(top, 0, -1):
+        if m[k - 1] == 0.0:
+            continue
+        tm = wm * m[k - 1]
+        tx = wx + x[k - 1]
+        if m[k] == 0.0:
+            nm, ne = frexp(tm)
+            m[k] = nm
+            x[k] = tx + ne
+            continue
+        d = tx - x[k]
+        if d >= 55:
+            nm, ne = frexp(tm)
+            m[k] = nm
+            x[k] = tx + ne
+        elif d > -55:
+            nm, ne = frexp(m[k] + ldexp(tm, d))
+            m[k] = nm
+            x[k] += ne
+        # else: new term below rounding, keep column as-is
+
+
+def _unit_row(size: int) -> tuple[list[float], list[int]]:
+    """Scaled ESP row of no weights: e_0 = 1 = 0.5 * 2**1, e_k = 0 below `size`."""
+    return [0.5] + [0.0] * (size - 1), [1] + [0] * (size - 1)
+
+
+def _esp_loo_scaled(pairs, order: int):
+    """Scaled e_0..e_{order+1} of all pairs, and e_order with each index deleted.
+
+    Stores the prefix rows P_i[a] = e_a(w_1..w_i) and grows one suffix row
+    S[b] = e_b(w_{i+1}..w_N) from the back, so that
+    e_order(w_{-i}) = sum_a P_{i-1}[a] * S_{i+1}[order - a]. Every term is
+    nonnegative, so there is no cancellation: O(N*order), exact to rounding.
+    """
+    n = len(pairs)
+    frexp, ldexp = math.frexp, math.ldexp
+    full = order + 1
+    m, x = _unit_row(full + 1)
+    prefix = []
     for j, (wm, wx) in enumerate(pairs):
-        if j == skip:
-            continue
-        filled += 1
-        if wm == 0.0:
-            continue
-        top = order if order < filled else filled
-        for k in range(top, 0, -1):
-            if m[k - 1] == 0.0:
-                continue
-            tm = wm * m[k - 1]
-            tx = wx + x[k - 1]
-            if m[k] == 0.0:
-                nm, ne = frexp(tm)
-                m[k] = nm
-                x[k] = tx + ne
-                continue
-            d = tx - x[k]
-            if d >= 55:
-                nm, ne = frexp(tm)
-                m[k] = nm
-                x[k] = tx + ne
-            elif d > -55:
-                nm, ne = frexp(m[k] + ldexp(tm, d))
-                m[k] = nm
-                x[k] += ne
-            # else: new term below rounding, keep column as-is
-    return m, x
-
-
-def _esp_scaled(weights, order: int, skip: int = -1) -> tuple[list[float], list[int]]:
-    pairs = [math.frexp(w) for w in weights]
-    return _esp_scaled_pairs(pairs, order, skip=skip)
+        prefix.append((m[:full], x[:full]))
+        _esp_push(m, x, wm, wx, min(full, j + 1))
+    sm, sx = _unit_row(full)
+    loo = [(0.0, 0)] * n
+    for i in range(n - 1, -1, -1):
+        pm, px = prefix[i]
+        terms = [(pm[a] * sm[order - a], px[a] + sx[order - a])
+                 for a in range(full) if pm[a] != 0.0 and sm[order - a] != 0.0]
+        if terms:
+            top = max(tx for _, tx in terms)
+            fm, fe = frexp(sum(ldexp(tm, tx - top) for tm, tx in terms))
+            loo[i] = (fm, top + fe)
+        wm, wx = pairs[i]
+        _esp_push(sm, sx, wm, wx, min(order, n - i))
+    return m, x, loo
 
 
 def _scaled_to_float(mant: float, ex: int) -> float:
     if mant == 0.0:
         return 0.0
-    if ex > 1100:
+    if ex > 1024:
         raise NumericError("ESP value overflows double precision despite rescaling")
-    if ex < -1100:
-        return 0.0
     return math.ldexp(mant, ex)
 
 
 def esp_all(weights, order: int) -> list[float]:
     """Elementary symmetric polynomials e_0..e_order of the given weights."""
     _check_esp_args(weights, order)
-    m, x = _esp_scaled(weights, order)
+    m, x = _unit_row(order + 1)
+    for j, w in enumerate(weights):
+        wm, wx = math.frexp(w)
+        _esp_push(m, x, wm, wx, min(order, j + 1))
     return [_scaled_to_float(m[k], x[k]) for k in range(order + 1)]
 
 
-def _esp_without(weights, skip: int, order: int) -> float:
-    m, x = _esp_scaled(weights, order, skip=skip)
-    return _scaled_to_float(m[order], x[order])
-
-
 def esp_leave_one_out(weights, order: int) -> list[float]:
-    """Per-index order-`order` ESPs of the weights with that index deleted.
-
-    Uses the deletion recurrence f_k = e_k - w_i * f_{k-1} while the
-    accumulated cancellation stays small, otherwise recomputes the deleted
-    ESP from scratch for that index.
-    """
+    """Per-index order-`order` ESPs of the weights with that index deleted,
+    from the prefix/suffix tables of `_esp_loo_scaled`."""
     _check_esp_args(weights, order)
     n = len(weights)
     if order > max(0, n - 1):
         raise DomainError(f"leave-one-out order {order} needs at least {order + 1} weights")
-    e = esp_all(weights, order)
-    out = []
-    for i, wi in enumerate(weights):
-        f = 1.0
-        amp = 1.0
-        bad = False
-        for k in range(1, order + 1):
-            sub = wi * f
-            t = e[k] - sub
-            lost = e[k] + sub
-            if t <= 0.0 or lost > t * _LOO_AMP_MAX:
-                bad = True
-                break
-            step_amp = lost / t
-            if step_amp > 1.0:
-                amp *= step_amp
-                if amp > _LOO_AMP_MAX:
-                    bad = True
-                    break
-            f = t
-        if bad:
-            f = _esp_without(weights, i, order)
-        out.append(f)
-    return out
+    _, _, loo = _esp_loo_scaled([math.frexp(w) for w in weights], order)
+    return [_scaled_to_float(fm, fx) for fm, fx in loo]
 
 
 # ---------------------------------------------------------------------------
@@ -238,28 +230,16 @@ def _marginals_fast(w: list[float], cache_size: int) -> list[float] | None:
 
 
 def _marginals_scaled(pairs, cache_size: int) -> list[float]:
-    """Exact fallback: every leave-one-out ESP recomputed in scaled form."""
-    n = len(pairs)
-    order = cache_size
-    m, x = _esp_scaled_pairs(pairs, order)
-    em, ex = m[order], x[order]
+    """Scaled path: leave-one-out ESPs from prefix/suffix tables, O(N*C)."""
+    m, x, loo = _esp_loo_scaled(pairs, cache_size - 1)
+    em, ex = m[cache_size], x[cache_size]
     if em == 0.0:
         raise NumericError("all order-C weight products vanished; marginals undefined")
     ldexp = math.ldexp
-    p = [0.0] * n
-    for i in range(n):
-        wm, wx = pairs[i]
-        if wm == 0.0:
-            continue
-        fm, fx = _esp_scaled_pairs(pairs, order - 1, skip=i)
-        num_m, num_x = fm[order - 1], fx[order - 1]
-        if num_m == 0.0:
-            continue
-        r = wm * num_m / em
-        d = wx + num_x - ex
-        if d < -1100:
-            continue
-        p[i] = ldexp(r, d)
+    p = [0.0] * len(pairs)
+    for i, ((wm, wx), (fm, fx)) in enumerate(zip(pairs, loo)):
+        if wm != 0.0 and fm != 0.0:
+            p[i] = ldexp(wm * fm / em, wx + fx - ex)  # underflows to 0.0, never raises
     out = _finish_marginals(p, cache_size)
     if out is None:
         raise NumericError("marginals failed to normalize to the cache size")

@@ -8,6 +8,7 @@ from unicache import (DomainError, EtaConfig, NumericError, SagePolicy, SageStat
                       ScaleGuardError, SplitMix64, esp_all, esp_leave_one_out,
                       hedge_bruteforce_marginals, madow_sample, marginals,
                       marginals_from_weights, sage_predict, sage_update)
+from unicache import sage as sage_mod
 
 # ---------------------------------------------------------------------------
 # elementary symmetric polynomials
@@ -59,8 +60,8 @@ def test_leave_one_out_matches_direct_deletion(weights, order):
 
 
 def test_leave_one_out_cancellation_fallback():
-    # deleting the dominant weight leaves a sum 1e7 times smaller; the
-    # deletion recurrence must hand off to the full recomputation
+    # deleting the dominant weight leaves a sum 1e7 times smaller, where a
+    # deletion recurrence would cancel; the prefix/suffix tables never subtract
     w = [1.0, 4e-8, 3e-8, 3.5e-8]
     loo = esp_leave_one_out(w, 2)
     rest = w[1:]
@@ -187,6 +188,63 @@ def test_marginals_permutation_invariance():
     b.count_max = max(counts)
     pa, pb = marginals(a), marginals(b)
     assert pb == pytest.approx([pa[perm[i]] for i in range(4)], abs=1e-12)
+
+
+def _zipf_counts(n, rounds, seed):
+    """Expected counts of `rounds` Zipf(1.5) requests, ranks shuffled over the files."""
+    rng = SplitMix64(seed)
+    rank = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        rank[i], rank[j] = rank[j], rank[i]
+    h = sum((r + 1) ** -1.5 for r in range(n))
+    return [int(rounds * (rank[i] + 1) ** -1.5 / h) for i in range(n)]
+
+
+def _nats_to_pair(nats):
+    """exp(nats) as (mantissa in [0.5, 1), base-2 exponent), never underflowing."""
+    log2 = nats / math.log(2.0)
+    e = math.floor(log2)
+    m, shift = math.frexp(2.0 ** (log2 - e))
+    return m, e + shift
+
+
+def _exact_marginals(pairs, c):
+    """Reference in exact integer arithmetic: every double is an integer times
+    a power of two, so after one common rescale the weights are integers and
+    the forward DP plus the deletion recurrence f_k = e_k - w_i f_{k-1} are
+    exact; any cancellation costs nothing. Only the final quotient rounds."""
+    ints = [(int(m * 2.0 ** 53), e - 53) for m, e in pairs]
+    lo = min(e for _, e in ints)
+    w = [(mant, e - lo) for mant, e in ints]  # weight = mant << shift
+    esp = [1] + [0] * c
+    for mant, shift in w:
+        for k in range(c, 0, -1):
+            esp[k] += (esp[k - 1] * mant) << shift
+    out = []
+    for mant, shift in w:
+        f = 1
+        for k in range(1, c):
+            f = esp[k] - ((f * mant) << shift)
+        out.append(((f * mant) << shift) / esp[c])
+    return out
+
+
+@pytest.mark.parametrize("n,c,rounds", [(64, 6, 1_400), (300, 20, 6_000), (1000, 50, 20_000)])
+def test_scaled_marginals_match_exact_reference(n, c, rounds):
+    # Zipf counts at eta 0.3 push e_C below the plain-double floor, so the
+    # mantissa/exponent path is the one that runs.
+    eta = 0.3
+    counts = _zipf_counts(n, rounds, seed=0)
+    cmax = max(counts)
+    pairs = [_nats_to_pair(eta * (x - cmax)) for x in counts]
+    assert sage_mod._marginals_fast([math.ldexp(m, e) for m, e in pairs], c) is None
+    expect = _exact_marginals(pairs, c)
+    assert max(abs(a - b) for a, b in zip(sage_mod._marginals_scaled(pairs, c), expect)) <= 1e-12
+    state = SageState(n, c, eta=eta)
+    state.counts, state.count_max = counts, cmax
+    assert sage_mod._marginals_fast(state.weights(), c) is None
+    assert max(abs(a - b) for a, b in zip(state.marginals(), expect)) <= 1e-12
 
 
 def test_sage_update_validates():
