@@ -64,8 +64,11 @@ def fsm_regret_bound(n_states: int, l_star: int, n_files: int, cache_size: int) 
     span = _check_nc(n_files, cache_size)
     if n_states < 1 or l_star < 0:
         raise DomainError("need n_states >= 1 and l_star >= 0")
-    return (math.sqrt(2.0 * cache_size * n_states * l_star * span)
-            + cache_size * n_states * span)
+    try:
+        root = math.sqrt(2.0 * cache_size * n_states * l_star * span) if l_star else 0.0
+        return root + cache_size * n_states * span
+    except OverflowError:  # a state count past the double range: so is the bound
+        return math.inf
 
 
 def markov_regret_bound(order: int, l_star: int, n_files: int, cache_size: int) -> float:
@@ -93,10 +96,11 @@ def miss_fraction_bound(n_states: int, order: int, n_files: int, cache_size: int
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     gap = markov_vs_fsp_gap(n_states, order, n_files, cache_size)
-    states = n_files**order
-    return (gap
-            + math.sqrt(2.0 * states * cache_size / horizon * span * gap)
-            + states * cache_size / horizon * span)
+    try:
+        load = n_files**order * cache_size / horizon * span
+    except OverflowError:  # N^k contexts past the double range: so is the bound
+        return math.inf
+    return gap + (math.sqrt(2.0 * gap * load) if gap else 0.0) + load
 
 
 def lz_regret_bound(order: int, c_t: int, l_star_lz: int, n_files: int, cache_size: int) -> float:

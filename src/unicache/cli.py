@@ -150,7 +150,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"unicache: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NumericError as exc:
+    except (NumericError, OverflowError) as exc:
         print(f"unicache: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -36,7 +36,7 @@ import configparser
 from dataclasses import dataclass
 
 from . import bounds
-from .core import ConfigError, RequestTrace, load_trace, replay
+from .core import ConfigError, DataError, RequestTrace, load_trace, replay
 from .datagen import generate_trace, random_fsm
 from .fsm import FifoPolicy, LruPolicy, load_fsm, offline_fsp_hits
 from .lz import LzSagePolicy, offline_lz_oracle, parse_phrases
@@ -198,7 +198,10 @@ def parse_config(path) -> ExperimentConfig:
 
 def materialize_trace(cfg: ExperimentConfig) -> RequestTrace:
     if cfg.trace_path is not None:
-        return load_trace(cfg.trace_path)
+        trace = load_trace(cfg.trace_path)
+        if not trace.requests:
+            raise DataError(f"{cfg.trace_path}: the trace holds no requests")
+        return trace
     set_size = cfg.gen_set_size if cfg.gen_set_size is not None else cfg.cache_size
     spec, arrays = random_fsm(cfg.gen_states, cfg.gen_files, set_size, cfg.gen_seed)
     return generate_trace(spec, arrays, spec.initial_state, cfg.gen_rounds, cfg.gen_seed + 1)

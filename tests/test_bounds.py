@@ -169,3 +169,17 @@ def test_validation():
     with pytest.raises(DomainError):
         BoundInputs(n_files=3, cache_size=4)
     BoundInputs(n_files=3, cache_size=2, horizon=10)
+
+
+def test_state_counts_past_the_double_range_give_inf():
+    # 1e4^80 contexts cannot be held in a double; neither can the bounds
+    assert markov_regret_bound(80, 0, 10_000, 10) == math.inf
+    assert markov_regret_bound(80, 500, 10_000, 10) == math.inf
+    assert fsm_regret_bound(10_000**80, 0, 10_000, 10) == math.inf
+    assert miss_fraction_bound(50, 80, 10_000, 10, 1000) == math.inf
+    assert fsp_total_regret_bound(50, 80, 10_000, 10, 1000, 0) == math.inf
+    # 1e4^77 contexts still fit: the miss-fraction bound stays finite
+    assert math.isfinite(miss_fraction_bound(50, 77, 10_000, 10, 1000))
+    # a zero comparator loss or a zero gap contributes no square-root term
+    assert markov_regret_bound(2, 0, 3, 3) == 9 * 3 * math.log(math.e)
+    assert miss_fraction_bound(1, 2, 3, 2, 100) == 9 * 2 / 100 * math.log(3 * math.e / 2)

@@ -339,3 +339,43 @@ seeds = 0:2
     assert r.returncode == 0, r.stderr
     seeds = [ln.split(",")[2] for ln in r.stdout.splitlines()[1:] if ln]
     assert seeds == ["10", "11"]
+
+def test_cli_bounds_past_the_double_range_print_inf(tmp_path):
+    r = _cli("bounds", "--files", "10000", "--cache", "10", "--states", "50",
+             "--rounds", "1000", "--max-order", "80", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[1:5] == [
+        "0,0.999,79.0775527898,1.4755658551,1078.07755279",
+        "1,0.988941733044,790775.527898,831.312691361,791764.469631",
+        "2,0.807467543768,7907755278.98,7911329.67169,7907756086.45",
+        "3,0.699287405634,7.90775527898e+13,79077885350.1,7.90775527905e+13",
+    ]
+    assert lines[-1].split(",")[2:] == ["inf", "inf", "inf"]  # 1e4^80 contexts
+
+
+def test_cli_empty_trace_is_a_data_error(tmp_path):
+    (tmp_path / "empty.trace").write_text("# N=4\n")
+    (tmp_path / "exp.ini").write_text("""
+[trace]
+path = empty.trace
+
+[run]
+cache_size = 2
+policies = sage, markov-oracle:1
+seeds = 0
+""")
+    r = _cli("run", "--config", "exp.ini", cwd=tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert "data error" in r.stderr and "no requests" in r.stderr
+
+
+def test_cli_maps_overflow_to_numeric_exit_code(monkeypatch):
+    from unicache import cli
+
+    def boom(args):
+        raise OverflowError("synthetic")
+
+    monkeypatch.setattr(cli, "_cmd_bounds", boom)
+    assert cli.main(["bounds", "--files", "3", "--cache", "2",
+                     "--states", "5", "--rounds", "10"]) == 4
