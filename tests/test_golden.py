@@ -6,6 +6,8 @@ purpose re-pins them once and says why.
 """
 
 import hashlib
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
 
@@ -84,16 +86,9 @@ def test_readme_csv_is_pinned(readme_trace):
 def _zipf_trace(n_files: int, exponent: float, rounds: int, seed: int) -> RequestTrace:
     """Independent Zipf draws: file r with probability proportional to (r + 1)^-exponent."""
     rng = SplitMix64(seed)
-    cum = []
-    acc = 0.0
-    for r in range(n_files):
-        acc += (r + 1) ** -exponent
-        cum.append(acc)
-    requests = []
-    for _ in range(rounds):
-        u = rng.next_float() * acc
-        requests.append(next(r for r, c in enumerate(cum) if u < c or r == n_files - 1))
-    return RequestTrace(n_files, requests)
+    cum = list(accumulate((r + 1) ** -exponent for r in range(n_files)))
+    return RequestTrace(n_files, [min(bisect_right(cum, rng.next_float() * cum[-1]), n_files - 1)
+                                  for _ in range(rounds)])
 
 
 def test_skewed_hit_sequence_is_pinned(monkeypatch):

@@ -305,13 +305,14 @@ seeds = 0
 def test_cli_numeric_exit_code(monkeypatch):
     from unicache import NumericError, cli
 
-    def boom(args):
-        raise NumericError("synthetic")
+    for error in (NumericError, OverflowError):
+        def boom(args):
+            raise error("synthetic")
 
-    monkeypatch.setattr(cli, "_cmd_bounds", boom)
-    code = cli.main(["bounds", "--files", "3", "--cache", "2",
-                     "--states", "5", "--rounds", "10"])
-    assert code == 4
+        monkeypatch.setattr(cli, "_cmd_bounds", boom)
+        code = cli.main(["bounds", "--files", "3", "--cache", "2",
+                         "--states", "5", "--rounds", "10"])
+        assert code == 4, error
 
 
 def test_cli_parse_stats(tmp_path):
@@ -369,13 +370,3 @@ seeds = 0
     assert r.returncode == 3, r.stderr
     assert "data error" in r.stderr and "no requests" in r.stderr
 
-
-def test_cli_maps_overflow_to_numeric_exit_code(monkeypatch):
-    from unicache import cli
-
-    def boom(args):
-        raise OverflowError("synthetic")
-
-    monkeypatch.setattr(cli, "_cmd_bounds", boom)
-    assert cli.main(["bounds", "--files", "3", "--cache", "2",
-                     "--states", "5", "--rounds", "10"]) == 4
