@@ -11,9 +11,10 @@ from itertools import accumulate
 
 import pytest
 
-from unicache import (EtaConfig, ExperimentConfig, LzSagePolicy, MarkovSagePolicy,
-                      RequestTrace, SagePolicy, SplitMix64, generate_trace, random_fsm,
-                      replay, run_experiment, to_csv)
+from unicache import (CacheSet, EtaConfig, ExperimentConfig, LzSagePolicy,
+                      MarkovSagePolicy, Prefetcher, RequestTrace, SagePolicy, SplitMix64,
+                      generate_trace, parse_phrases, random_fsm, replay, run_experiment,
+                      save_fsm, to_csv)
 from unicache import sage as sage_mod
 from unicache.harness import parse_policy_spec
 
@@ -45,6 +46,18 @@ HIT_DIGESTS = {
 }
 README_CSV_DIGEST = "77fd25706d9e64cc7fadfef1492614134aab1788aa1df22de39b06e19e681509"
 ZIPF_HIT_DIGEST = "c28b4ee2fcc31eb0f6184452f179aecf0c4ff755e572b58b8a045f6f4ef0db2e"
+
+# Oracle-replay shape: Q=500 states, N=16 files, C=4; the fsp-oracle scores
+# the generating machine, so it must hit every round.
+ORACLE_HITS = {
+    "static-oracle": 5484,
+    "markov-oracle:2": 8829,
+    "markov-oracle:4": 19990,
+    "markov-oracle:6": 20000,
+    "lz-oracle": 9457,
+    "fsp-oracle": 20000,
+}
+ORACLE_LZ_NODES = 5812
 
 
 def _sha(chunks) -> str:
@@ -106,3 +119,15 @@ def test_skewed_hit_sequence_is_pinned(monkeypatch):
     hits = replay(SagePolicy(64, 6, EtaConfig(mode="fixed", eta=0.3), seed=0), trace).hits
     assert len(scaled_calls) >= 100
     assert _sha([hits]) == ZIPF_HIT_DIGEST
+
+
+def test_oracle_hits_are_pinned(tmp_path):
+    spec, arrays = random_fsm(500, 16, 4, 11)
+    trace = generate_trace(spec, arrays, spec.initial_state, ROUNDS, 12)
+    save_fsm(spec, tmp_path / "gen.fsm",
+             Prefetcher(caches=[CacheSet(frozenset(a), 16) for a in arrays]))
+    labels = [label for label in ORACLE_HITS if label != "fsp-oracle"]
+    policies = [parse_policy_spec(p) for p in labels + [f"fsp-oracle:{tmp_path / 'gen.fsm'}"]]
+    rows = run_experiment(ExperimentConfig(cache_size=4, policies=policies, seeds=[0]), trace)
+    assert [r.hits for r in rows] == [ORACLE_HITS[label] for label in labels + ["fsp-oracle"]]
+    assert parse_phrases(trace)[1].node_count == ORACLE_LZ_NODES
