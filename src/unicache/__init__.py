@@ -1,30 +1,34 @@
 """Online cache prefetching against finite-state benchmarks.
 
-Policies: single-instance SAGE (sampled Hedge over C-subsets), per-context
-order-k variants, and an LZ-78 parse-tree universal policy. Offline
-counterparts: best fixed cache, best order-k context prefetcher, best
-prefetcher for a given finite state machine, and the parse-tree-aligned
-oracle. Plus closed-form bound evaluators, a synthetic trace generator with
-a zero-miss certificate, and a config-driven experiment harness.
+Every policy and every oracle is a machine plus a per-state rule. A
+machine (see `fsm`) has a hashable `current` state and an
+`advance(request)` method: the order-k context `Window` (order 0 for plain
+SAGE), the LZ-78 parse tree `LzTree`, or a given FSM run by `FsmRunner`.
+The online policies run one SAGE instance (sampled Hedge over C-subsets)
+per state, in `MachineSagePolicy`; the offline oracles cache each state's
+top-C files, from one counting pass (`state_file_counts`, `top_c_hits`).
+Around them: LRU and FIFO, closed-form bound evaluators, a synthetic trace
+generator with a zero-miss certificate, and a config-driven experiment
+harness.
 """
 
 from .core import (CacheSet, ConfigError, DataError, DomainError, EmptyTraceError,
                    NumericError, RequestTrace, RunRecord, ScaleGuardError, SplitMix64,
                    UniCacheError, hit_rate, load_trace, regret, replay, save_trace,
                    score_round)
-from .sage import (EtaConfig, SagePolicy, SageState, esp_all, esp_leave_one_out,
-                   hedge_bruteforce_marginals, madow_sample, marginals,
-                   marginals_from_weights, sage_predict, sage_update)
-from .fsm import (FifoPolicy, FsmSpec, FspPolicy, LruPolicy, Prefetcher, VisitCounts,
-                  fifo_fsp, fsm_step, load_fsm, lru_fsp, offline_fsp_hits,
-                  optimal_prefetcher, save_fsm, simulate_fsp, visit_counts)
-from .markov import (MarkovContext, MarkovSagePolicy, offline_markov_hit_rate,
-                     online_markov_sage, shift_context)
-from .lz import (LzSagePolicy, LzTree, depth_split_counts, dump_tree, lz_advance,
-                 offline_lz_oracle, parse_phrases, run_lz_policy)
-from .bounds import (BoundInputs, fsm_regret_bound, fsp_total_regret_bound,
-                     lz_regret_bound, markov_regret_bound, markov_vs_fsp_gap,
-                     miss_fraction_bound, static_regret_bound)
+from .fsm import (FifoPolicy, FsmRunner, FsmSpec, FspPolicy, LruPolicy, Prefetcher,
+                  VisitCounts, Window, fifo_fsp, fsm_step, load_fsm, lru_fsp,
+                  offline_fsp_hits, optimal_prefetcher, save_fsm, simulate_fsp,
+                  state_file_counts, top_c_hits, visit_counts)
+from .sage import (EtaConfig, MachineSagePolicy, SagePolicy, SageState, esp_all,
+                   esp_leave_one_out, hedge_bruteforce_marginals, madow_sample,
+                   marginals_from_weights, sage_update)
+from .markov import MarkovSagePolicy, offline_markov_hit_rate, online_markov_sage
+from .lz import (LzSagePolicy, LzTree, depth_split_counts, dump_tree, offline_lz_oracle,
+                 parse_phrases, run_lz_policy)
+from .bounds import (fsm_regret_bound, fsp_total_regret_bound, lz_regret_bound,
+                     markov_regret_bound, markov_vs_fsp_gap, miss_fraction_bound,
+                     static_regret_bound)
 from .datagen import generate_trace, random_fsm
 from .harness import (ExperimentConfig, PolicySpec, ResultRow, parse_config,
                       parse_csv, report, run_experiment, summarize, to_csv)

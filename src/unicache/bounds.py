@@ -9,28 +9,8 @@ parse-tree nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import DomainError
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Bag of parameters accepted by the evaluators, validated once."""
-
-    n_files: int
-    cache_size: int
-    horizon: int = 0
-    n_states: int = 1
-    order: int = 0
-    l_star: int = 0
-    c_t: int = 0
-
-    def __post_init__(self):
-        if self.n_files < 1 or not 1 <= self.cache_size <= self.n_files:
-            raise DomainError("need 1 <= cache_size <= n_files")
-        if min(self.horizon, self.n_states - 1, self.order, self.l_star, self.c_t) < 0:
-            raise DomainError("bound inputs must be nonnegative (n_states >= 1)")
 
 
 def _check_nc(n_files: int, cache_size: int) -> float:

@@ -6,10 +6,18 @@ trace, the best prefetcher for a fixed machine is computed exactly: count
 requests per (state, file), then cache the C most-requested files of each
 state. LRU and FIFO are materialized as explicit FSPs whose states are
 ordered tuples of distinct cached files.
+
+A machine, in the sense every policy and oracle here uses, is any object
+with a hashable `current` state and an `advance(request)` method: an
+`FsmSpec` walked by `FsmRunner`, the order-k `Window`, or the LZ-78 parse
+tree (`lz.LzTree`). `state_file_counts` and `top_c_hits` are the one
+counting pass behind every per-state oracle. Machines take requests from a
+validated trace, so only the parse tree checks them again.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from heapq import nlargest
 
@@ -91,16 +99,65 @@ def fsm_step(spec: FsmSpec, state: int, request: int) -> int:
     return spec.transitions[state][request]
 
 
+class FsmRunner:
+    """An `FsmSpec` walked from its start state."""
+
+    __slots__ = ("transitions", "current")
+
+    def __init__(self, spec: FsmSpec):
+        self.transitions = spec.transitions
+        self.current = spec.initial_state
+
+    def advance(self, request: int) -> None:
+        self.current = self.transitions[self.current][request]
+
+
+class Window:
+    """Order-k context machine: the state is the tuple of the up-to-k most
+    recent requests, most recent last. Order 0 has the single state ()."""
+
+    __slots__ = ("k", "current")
+
+    def __init__(self, k: int):
+        if k < 0:
+            raise DomainError(f"context order must be >= 0, got {k}")
+        self.k = k
+        self.current: tuple[int, ...] = ()
+
+    def advance(self, request: int) -> None:
+        if self.k:
+            window = self.current
+            self.current = (window if len(window) < self.k else window[1:]) + (request,)
+
+
+def state_file_counts(machine, requests) -> Counter:
+    """counts[(state, file)]: how often each file is requested while the
+    machine is in each state. Each request is counted in the current state
+    and then advances the machine."""
+    def states():
+        advance = machine.advance
+        for x in requests:
+            yield machine.current
+            advance(x)
+    return Counter(zip(states(), requests))
+
+
+def top_c_hits(counts: Counter, cache_size: int) -> int:
+    """Hits of the best per-state cache: summed over the states, the counts
+    of each state's `cache_size` most-requested files."""
+    per_state = defaultdict(list)
+    for (state, _), n in counts.items():
+        per_state[state].append(n)
+    return sum(sum(nlargest(cache_size, row)) for row in per_state.values())
+
+
 def visit_counts(spec: FsmSpec, trace: RequestTrace) -> VisitCounts:
     """Replay the trace from the start state, counting requests per state."""
     if trace.n_files > spec.n_files:
         raise DomainError(f"trace uses {trace.n_files} files but FSM only knows {spec.n_files}")
     counts = [[0] * spec.n_files for _ in range(spec.n_states)]
-    table = spec.transitions
-    s = spec.initial_state
-    for x in trace.requests:
-        counts[s][x] += 1
-        s = table[s][x]
+    for (s, x), n in state_file_counts(FsmRunner(spec), trace.requests).items():
+        counts[s][x] = n
     return VisitCounts(counts=counts, total=len(trace))
 
 
@@ -213,12 +270,8 @@ class LruPolicy:
         if not 1 <= cache_size <= n_files:
             raise DomainError(f"cache size {cache_size} outside [1, {n_files}]")
         self.name = name
-        self.n_files = n_files
         self.order = list(range(cache_size))
         self.cached = set(self.order)
-
-    def predict(self) -> CacheSet:
-        return CacheSet(frozenset(self.cached), self.n_files)
 
     def step(self, request: int) -> int:
         if request in self.cached:
@@ -239,12 +292,8 @@ class FifoPolicy:
         if not 1 <= cache_size <= n_files:
             raise DomainError(f"cache size {cache_size} outside [1, {n_files}]")
         self.name = name
-        self.n_files = n_files
         self.queue = list(range(cache_size))
         self.cached = set(self.queue)
-
-    def predict(self) -> CacheSet:
-        return CacheSet(frozenset(self.cached), self.n_files)
 
     def step(self, request: int) -> int:
         if request in self.cached:
@@ -331,11 +380,7 @@ class FspPolicy:
         self.name = name
         self.spec = spec
         self.sets = [c.files for c in prefetcher.caches]
-        self.caches = prefetcher.caches
         self.state = spec.initial_state
-
-    def predict(self) -> CacheSet:
-        return self.caches[self.state]
 
     def step(self, request: int) -> int:
         hit = 1 if request in self.sets[self.state] else 0

@@ -39,7 +39,7 @@ from . import bounds
 from .core import ConfigError, DataError, RequestTrace, load_trace, replay
 from .datagen import generate_trace, random_fsm
 from .fsm import FifoPolicy, LruPolicy, load_fsm, offline_fsp_hits
-from .lz import LzSagePolicy, offline_lz_oracle, parse_phrases
+from .lz import LzSagePolicy, offline_lz_oracle
 from .markov import MarkovSagePolicy, offline_markov_hit_rate
 from .sage import EtaConfig, SagePolicy
 
@@ -133,9 +133,16 @@ def _parse_seeds(text: str) -> list[int]:
 
 def parse_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        return _config_from(parser, path)
+    except configparser.Error as exc:
+        # Malformed syntax, repeated keys and bad %-interpolation.
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _config_from(parser: configparser.ConfigParser, path) -> ExperimentConfig:
     if "run" not in parser:
         raise ConfigError(f"{path}: missing [run] section")
     run = parser["run"]
@@ -230,8 +237,7 @@ def run_experiment(cfg: ExperimentConfig, trace: RequestTrace | None = None) -> 
 
     lz_oracle_misses = lz_oracle_hits = tree_nodes = None
     if _wants(cfg, "lz") or _wants(cfg, "lz-oracle"):
-        lz_oracle_misses, lz_oracle_hits = offline_lz_oracle(trace, c)
-        tree_nodes = parse_phrases(trace)[1].node_count
+        lz_oracle_misses, lz_oracle_hits, tree_nodes = offline_lz_oracle(trace, c)
 
     deterministic_cache: dict[str, tuple[int, float | None]] = {}
 

@@ -16,11 +16,9 @@ statistics; no special end-of-stream handling.
 
 from __future__ import annotations
 
-from collections import Counter
-from heapq import nlargest
-
-from .core import DomainError, RequestTrace, RunRecord, SplitMix64, replay
-from .sage import EtaConfig, SageState, madow_sample, sage_predict
+from .core import DomainError, RequestTrace, RunRecord, replay
+from .fsm import state_file_counts, top_c_hits
+from .sage import EtaConfig, MachineSagePolicy
 
 
 class LzNode:
@@ -35,7 +33,7 @@ class LzNode:
 
 
 class LzTree:
-    """Parse-tree structure: node records, current-node pointer, phrase count."""
+    """Parse-tree machine: node records, current-node pointer, phrase count."""
 
     def __init__(self, n_files: int):
         if n_files < 1:
@@ -52,29 +50,26 @@ class LzTree:
     def consumed(self) -> int:
         return sum(node.visits for node in self.nodes)
 
+    def advance(self, request: int) -> None:
+        """Record one request at the current node and walk the parse.
 
-def lz_advance(tree: LzTree, request: int) -> int:
-    """Record one request at the current node and walk the parse.
-
-    Returns the id of the node that consumed the request. If the current
-    node lacks a child for the request, the phrase is complete: the child is
-    created and the walk resets to the root.
-    """
-    if not 0 <= request < tree.n_files:
-        raise DomainError(f"request {request} outside [0, {tree.n_files})")
-    cur = tree.current
-    node = tree.nodes[cur]
-    node.visits += 1
-    child = node.children.get(request)
-    if child is None:
-        child_id = len(tree.nodes)
-        tree.nodes.append(LzNode(parent=cur, depth=node.depth + 1, symbol=request))
-        node.children[request] = child_id
-        tree.phrase_count += 1
-        tree.current = 0
-    else:
-        tree.current = child
-    return cur
+        If the current node lacks a child for the request, the phrase is
+        complete: the child is created and the walk resets to the root.
+        """
+        if not 0 <= request < self.n_files:
+            raise DomainError(f"request {request} outside [0, {self.n_files})")
+        cur = self.current
+        node = self.nodes[cur]
+        node.visits += 1
+        child = node.children.get(request)
+        if child is None:
+            child_id = len(self.nodes)
+            self.nodes.append(LzNode(parent=cur, depth=node.depth + 1, symbol=request))
+            node.children[request] = child_id
+            self.phrase_count += 1
+            self.current = 0
+        else:
+            self.current = child
 
 
 def parse_phrases(trace: RequestTrace) -> tuple[list[tuple[int, ...]], LzTree]:
@@ -85,7 +80,7 @@ def parse_phrases(trace: RequestTrace) -> tuple[list[tuple[int, ...]], LzTree]:
     for x in trace.requests:
         phrase.append(x)
         at_new_child = tree.nodes[tree.current].children.get(x) is None
-        lz_advance(tree, x)
+        tree.advance(x)
         if at_new_child:
             phrases.append(tuple(phrase))
             phrase = []
@@ -107,36 +102,12 @@ def dump_tree(tree: LzTree, fh) -> None:
         fh.write(f"{nid} {node.parent} {node.depth} {node.symbol} {node.visits}\n")
 
 
-class LzSagePolicy:
+class LzSagePolicy(MachineSagePolicy):
     """SAGE at every parse-tree node; the node consuming a request predicts it."""
 
     def __init__(self, n_files: int, cache_size: int,
                  eta_config: EtaConfig | None = None, seed: int = 0, name: str = "lz"):
-        self.name = name
-        self.n_files = n_files
-        self.cache_size = cache_size
-        self.eta_config = eta_config if eta_config is not None else EtaConfig()
-        self.rng = SplitMix64(seed)
-        self.tree = LzTree(n_files)
-        self.states: list[SageState] = [SageState.fresh(n_files, cache_size, self.eta_config)]
-
-    def _current_state(self) -> SageState:
-        return self.states[self.tree.current]
-
-    def predict(self):
-        return sage_predict(self._current_state(), self.rng)
-
-    def step(self, request: int) -> int:
-        st = self.states[self.tree.current]
-        sel = madow_sample(st.marginals(), self.rng.next_float())
-        hit = 1 if request in sel else 0
-        st.update(request)
-        if not hit:
-            st.note_miss()
-        lz_advance(self.tree, request)
-        if len(self.states) < len(self.tree.nodes):
-            self.states.append(SageState.fresh(self.n_files, self.cache_size, self.eta_config))
-        return hit
+        super().__init__(name, LzTree(n_files), n_files, cache_size, eta_config, seed)
 
 
 def run_lz_policy(trace: RequestTrace, cache_size: int,
@@ -145,28 +116,18 @@ def run_lz_policy(trace: RequestTrace, cache_size: int,
     """Run the LZ policy over a trace; returns the run record and final tree."""
     policy = LzSagePolicy(trace.n_files, cache_size, eta_config, seed)
     record = replay(policy, trace)
-    return record, policy.tree
+    return record, policy.machine
 
 
-def offline_lz_oracle(trace: RequestTrace, cache_size: int) -> tuple[int, int]:
+def offline_lz_oracle(trace: RequestTrace, cache_size: int) -> tuple[int, int, int]:
     """Best-in-hindsight prefetching aligned with the same parse-tree growth.
 
     Replays the parse, then scores each node by the total count of its C
-    most-consumed files. Returns (miss count, hit count); the two sum to T.
+    most-consumed files. Returns (miss count, hit count, node count); the
+    first two sum to T, the last is the final tree's size.
     """
     if not 1 <= cache_size <= trace.n_files:
         raise DomainError(f"cache size {cache_size} outside [1, {trace.n_files}]")
     tree = LzTree(trace.n_files)
-    counters: list[Counter] = [Counter()]
-    for x in trace.requests:
-        counters[tree.current][x] += 1
-        lz_advance(tree, x)
-        if len(counters) < len(tree.nodes):
-            counters.append(Counter())
-    hits = 0
-    for counter in counters:
-        if len(counter) <= cache_size:
-            hits += sum(counter.values())
-        else:
-            hits += sum(nlargest(cache_size, counter.values()))
-    return len(trace) - hits, hits
+    hits = top_c_hits(state_file_counts(tree, trace.requests), cache_size)
+    return len(trace) - hits, hits, tree.node_count

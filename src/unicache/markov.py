@@ -2,121 +2,40 @@
 policy running one SAGE instance per context.
 
 The context at round t is the tuple of up to k most recent requests,
-most recent last. During the first k rounds the history is shorter than k,
-and the partial tuple itself serves as the context; each partial length
-occurs in exactly one round, so this adds at most k extra contexts. Keeping
-the partial tuples distinct (rather than pooling all warm-up rounds into a
-single context) makes order-(k+1) contexts an exact refinement of order-k
-contexts, so the offline oracle's hit count is nondecreasing in k on every
-trace.
+most recent last (`fsm.Window`). During the first k rounds the history is
+shorter than k, and the partial tuple itself serves as the context; each
+partial length occurs in exactly one round, so this adds at most k extra
+contexts. Keeping the partial tuples distinct (rather than pooling all
+warm-up rounds into a single context) makes order-(k+1) contexts an exact
+refinement of order-k contexts, so the offline oracle's hit count is
+nondecreasing in k on every trace.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from heapq import nlargest
-
-from .core import DomainError, RequestTrace, RunRecord, SplitMix64, replay
-from .sage import EtaConfig, SageState, madow_sample, sage_predict
-
-
-@dataclass(frozen=True)
-class MarkovContext:
-    """Sliding window of the last up-to-k requests, most recent last."""
-
-    k: int
-    window: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise DomainError(f"context order must be >= 0, got {self.k}")
-        if len(self.window) > self.k:
-            raise DomainError(f"window {self.window} longer than order {self.k}")
-
-
-def shift_context(ctx: MarkovContext, request: int) -> MarkovContext:
-    """Append the newest request, dropping the oldest once the window is full."""
-    if request < 0:
-        raise DomainError(f"request must be a file id, got {request}")
-    return MarkovContext(k=ctx.k, window=_advance(ctx.window, request, ctx.k))
-
-
-def _advance(window: tuple[int, ...], request: int, k: int) -> tuple[int, ...]:
-    if k == 0:
-        return ()
-    if len(window) < k:
-        return window + (request,)
-    return window[1:] + (request,)
+from .core import DomainError, RequestTrace, RunRecord, replay
+from .fsm import Window, state_file_counts, top_c_hits
+from .sage import EtaConfig, MachineSagePolicy
 
 
 def offline_markov_hit_rate(trace: RequestTrace, k: int, cache_size: int) -> tuple[float, int]:
     """Best-in-hindsight order-k context prefetcher: per context, cache the C
     most-requested successors. Returns (hit fraction, hit count)."""
-    if k < 0:
-        raise DomainError(f"order must be >= 0, got {k}")
     if not 1 <= cache_size <= trace.n_files:
         raise DomainError(f"cache size {cache_size} outside [1, {trace.n_files}]")
     if len(trace) == 0:
         raise DomainError("the offline oracle needs a nonempty trace")
-    table: dict[tuple[int, ...], Counter] = {}
-    window: tuple[int, ...] = ()
-    for x in trace.requests:
-        counter = table.get(window)
-        if counter is None:
-            counter = Counter()
-            table[window] = counter
-        counter[x] += 1
-        window = _advance(window, x, k)
-    hits = 0
-    for counter in table.values():
-        if len(counter) <= cache_size:
-            hits += sum(counter.values())
-        else:
-            hits += sum(nlargest(cache_size, counter.values()))
+    hits = top_c_hits(state_file_counts(Window(k), trace.requests), cache_size)
     return hits / len(trace), hits
 
 
-class MarkovSagePolicy:
-    """One SAGE instance per visited context; a single generator drives all
-    of them, one uniform per round."""
+class MarkovSagePolicy(MachineSagePolicy):
+    """One SAGE instance per visited order-k context."""
 
     def __init__(self, n_files: int, cache_size: int, k: int,
                  eta_config: EtaConfig | None = None, seed: int = 0, name: str | None = None):
-        if k < 0:
-            raise DomainError(f"order must be >= 0, got {k}")
-        self.name = name if name is not None else f"markov:{k}"
-        self.n_files = n_files
-        self.cache_size = cache_size
-        self.k = k
-        self.eta_config = eta_config if eta_config is not None else EtaConfig()
-        self.rng = SplitMix64(seed)
-        self.window: tuple[int, ...] = ()
-        self.table: dict[tuple[int, ...], SageState] = {}
-
-    def _instance(self) -> SageState:
-        st = self.table.get(self.window)
-        if st is None:
-            st = SageState.fresh(self.n_files, self.cache_size, self.eta_config)
-            self.table[self.window] = st
-        return st
-
-    def predict(self):
-        return sage_predict(self._instance(), self.rng)
-
-    def step(self, request: int) -> int:
-        st = self._instance()
-        sel = madow_sample(st.marginals(), self.rng.next_float())
-        hit = 1 if request in sel else 0
-        st.update(request)
-        if not hit:
-            st.note_miss()
-        self.window = _advance(self.window, request, self.k)
-        return hit
-
-    @property
-    def contexts_visited(self) -> int:
-        return len(self.table)
+        super().__init__(name if name is not None else f"markov:{k}", Window(k),
+                         n_files, cache_size, eta_config, seed)
 
 
 def online_markov_sage(trace: RequestTrace, k: int, cache_size: int,

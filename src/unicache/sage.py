@@ -34,7 +34,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import CacheSet, DomainError, NumericError, ScaleGuardError, SplitMix64
+from .core import DomainError, NumericError, ScaleGuardError, SplitMix64
+from .fsm import Window
 
 # Fallback once accumulated cancellation could push the absolute error of a
 # marginal past ~1e-11 (C * eps * amplification); the fallback recomputation
@@ -330,8 +331,8 @@ class EtaConfig:
     def __post_init__(self):
         if self.mode not in ("fixed", "doubling"):
             raise DomainError(f"eta mode must be 'fixed' or 'doubling', got {self.mode!r}")
-        if self.eta is not None and not self.eta > 0:
-            raise DomainError(f"eta must be positive, got {self.eta}")
+        if self.eta is not None and not 0 < self.eta < math.inf:
+            raise DomainError(f"eta must be positive and finite, got {self.eta}")
         if self.horizon is not None and self.horizon < 1:
             raise DomainError(f"horizon hint must be >= 1, got {self.horizon}")
 
@@ -352,8 +353,8 @@ class SageState:
     def __init__(self, n_files: int, cache_size: int, eta: float, eta_mode: str = "fixed"):
         if not 1 <= cache_size <= n_files:
             raise DomainError(f"cache size {cache_size} outside [1, {n_files}]")
-        if not eta > 0:
-            raise DomainError(f"eta must be positive, got {eta}")
+        if not 0 < eta < math.inf:
+            raise DomainError(f"eta must be positive and finite, got {eta}")
         if eta_mode not in ("fixed", "doubling"):
             raise DomainError(f"eta mode must be 'fixed' or 'doubling', got {eta_mode!r}")
         self.n_files = n_files
@@ -402,17 +403,6 @@ class SageState:
             self._miss_mark *= 2
 
 
-def marginals(state: SageState) -> list[float]:
-    """Marginal inclusion probabilities of the Hedge distribution at `state`."""
-    return state.marginals()
-
-
-def sage_predict(state: SageState, rng: SplitMix64) -> CacheSet:
-    """Draw a cache set whose inclusion probabilities are exactly `marginals(state)`."""
-    ids = madow_sample(state.marginals(), rng.next_float())
-    return CacheSet(frozenset(ids), state.n_files)
-
-
 def sage_update(state: SageState, request: int) -> None:
     """Record one request: counts[request] += 1."""
     if not 0 <= request < state.n_files:
@@ -444,27 +434,49 @@ def hedge_bruteforce_marginals(counts, eta: float, n_files: int, cache_size: int
     return [a / total for a in acc]
 
 
-class SagePolicy:
-    """Single-instance SAGE: predict by Madow-sampling the Hedge marginals,
-    then record the revealed request."""
+class MachineSagePolicy:
+    """One SAGE instance per state of a machine (see `fsm`).
 
-    def __init__(self, n_files: int, cache_size: int,
-                 eta_config: EtaConfig | None = None, seed: int = 0, name: str = "sage"):
+    Each round the instance of the machine's current state Madow-samples a
+    cache from one uniform draw of the policy's single generator, scores the
+    request, records it, and the machine advances. The start state's
+    instance is made at construction, so a bad cache size fails there; every
+    other is made on its state's first visit. `SageState.fresh` draws no
+    random numbers, so the draws do not depend on when instances are made.
+    """
+
+    def __init__(self, name: str, machine, n_files: int, cache_size: int,
+                 eta_config: EtaConfig | None, seed: int):
         self.name = name
-        self.state = SageState.fresh(n_files, cache_size, eta_config)
+        self.machine = machine
+        self.n_files = n_files
+        self.cache_size = cache_size
+        self.eta_config = eta_config if eta_config is not None else EtaConfig()
         self.rng = SplitMix64(seed)
-
-    def predict(self) -> CacheSet:
-        return sage_predict(self.state, self.rng)
-
-    def update(self, request: int) -> None:
-        sage_update(self.state, request)
+        self.table = {machine.current: SageState.fresh(n_files, cache_size, self.eta_config)}
 
     def step(self, request: int) -> int:
-        st = self.state
+        machine = self.machine
+        st = self.table.get(machine.current)
+        if st is None:
+            st = SageState.fresh(self.n_files, self.cache_size, self.eta_config)
+            self.table[machine.current] = st
         sel = madow_sample(st.marginals(), self.rng.next_float())
         hit = 1 if request in sel else 0
         st.update(request)
         if not hit:
             st.note_miss()
+        machine.advance(request)
         return hit
+
+    @property
+    def contexts_visited(self) -> int:
+        return len(self.table)
+
+
+class SagePolicy(MachineSagePolicy):
+    """Single-instance SAGE: the order-0 window has one state."""
+
+    def __init__(self, n_files: int, cache_size: int,
+                 eta_config: EtaConfig | None = None, seed: int = 0, name: str = "sage"):
+        super().__init__(name, Window(0), n_files, cache_size, eta_config, seed)

@@ -13,7 +13,7 @@ import pytest
 from unicache import (EtaConfig, FifoPolicy, LruPolicy, RequestTrace, SagePolicy,
                       SageState, SplitMix64, fifo_fsp, generate_trace,
                       hedge_bruteforce_marginals, hit_rate, lru_fsp, lz_regret_bound,
-                      madow_sample, marginals, markov_regret_bound, markov_vs_fsp_gap,
+                      madow_sample, markov_regret_bound, markov_vs_fsp_gap,
                       miss_fraction_bound, offline_fsp_hits, offline_lz_oracle,
                       offline_markov_hit_rate, online_markov_sage, optimal_prefetcher,
                       parse_phrases, random_fsm, replay, run_lz_policy, simulate_fsp,
@@ -53,7 +53,7 @@ def test_acceptance_02_hedge_esp_equivalence():
         state = SageState(n, c, eta=eta)
         state.counts = counts
         state.count_max = max(counts)
-        got = marginals(state)
+        got = state.marginals()
         expect = hedge_bruteforce_marginals(counts, eta, n, c)
         worst = max(worst, max(abs(a - b) for a, b in zip(got, expect)))
     assert worst <= 1e-10, worst
@@ -320,7 +320,7 @@ def test_acceptance_09_parse_correctness_and_lz_regret():
     worst_margin = math.inf
     for trace in traces[:6]:
         n, c = trace.n_files, 1
-        lz_misses, _ = offline_lz_oracle(trace, c)
+        lz_misses = offline_lz_oracle(trace, c)[0]
         c_t = parse_phrases(trace)[1].node_count
         hits = [run_lz_policy(trace, c, seed=s)[0].cumulative_hits for s in range(20)]
         mh, se = mean(hits), _se(hits)

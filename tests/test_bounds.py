@@ -6,7 +6,7 @@ from decimal import Decimal, getcontext
 
 import pytest
 
-from unicache import (BoundInputs, DomainError, fsm_regret_bound,
+from unicache import (DomainError, fsm_regret_bound,
                       fsp_total_regret_bound, lz_regret_bound, markov_regret_bound,
                       markov_vs_fsp_gap, miss_fraction_bound, static_regret_bound)
 
@@ -166,9 +166,6 @@ def test_validation():
         miss_fraction_bound(5, 1, 3, 2, 0)
     with pytest.raises(DomainError):
         lz_regret_bound(-1, 10, 0, 3, 2)
-    with pytest.raises(DomainError):
-        BoundInputs(n_files=3, cache_size=4)
-    BoundInputs(n_files=3, cache_size=2, horizon=10)
 
 
 def test_state_counts_past_the_double_range_give_inf():

@@ -296,6 +296,14 @@ seeds = 0
 """)
     r = _cli("run", "--config", "bad.ini", cwd=tmp_path)
     assert r.returncode == 3, r.stderr
+    gen = "[trace]\nstates = 5\nfiles = 3\nrounds = 50\n"
+    for name, text in (("unclosed.ini", "[run\ncache_size = 2\n"),
+                       ("repeated.ini", gen + "[run]\ncache_size = 2\ncache_size = 3\n"),
+                       ("inf.ini", gen + "[run]\ncache_size = 2\npolicies = sage\neta = inf\n")):
+        (tmp_path / name).write_text(text)
+        r = _cli("run", "--config", name, cwd=tmp_path)
+        assert r.returncode == 2, (name, r.stderr)
+        assert "Traceback" not in r.stderr, r.stderr
     r = _cli("bounds", "--files", "3", "--cache", "2", "--states", "50",
              "--rounds", "1000", "--max-order", "2", cwd=tmp_path)
     assert r.returncode == 0, r.stderr

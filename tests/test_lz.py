@@ -3,7 +3,7 @@ import io
 import pytest
 
 from unicache import (DomainError, LzSagePolicy, LzTree, RequestTrace,
-                      depth_split_counts, dump_tree, lz_advance, offline_lz_oracle,
+                      depth_split_counts, dump_tree, offline_lz_oracle,
                       offline_markov_hit_rate, parse_phrases, replay, run_lz_policy,
                       SagePolicy, SplitMix64)
 from util import mean, random_trace
@@ -57,7 +57,7 @@ def test_parse_matches_reference_on_random_traces():
 def test_lz_advance_validates():
     tree = LzTree(3)
     with pytest.raises(DomainError):
-        lz_advance(tree, 3)
+        tree.advance(3)
 
 
 def test_consumed_tracks_rounds():
@@ -101,27 +101,28 @@ def test_offline_oracle_hand_count():
     # per-node counters: root {0:2, 1:2}, node(0) {0:1}, node(1) {1:1};
     # with C=1 the best prefetch scores 2+1+1 hits, so 2 misses
     trace = RequestTrace(2, [0, 1, 0, 0, 1, 1])
-    assert offline_lz_oracle(trace, 1) == (2, 4)
+    assert offline_lz_oracle(trace, 1) == (2, 4, 5)
 
 
 def test_offline_oracle_consistency():
     for trial in range(10):
         trace = random_trace(3, 300, 60 + trial)
-        misses, hits = offline_lz_oracle(trace, 1)
+        misses, hits, nodes = offline_lz_oracle(trace, 1)
         assert misses + hits == len(trace)
+        assert nodes == parse_phrases(trace)[1].node_count
         # the per-node oracle refines the single best fixed cache
         assert hits >= offline_markov_hit_rate(trace, 0, 1)[1]
 
 
 def test_offline_oracle_near_perfect_on_regular_stream():
     trace = RequestTrace(4, [0, 1, 2, 3] * 500)
-    misses, hits = offline_lz_oracle(trace, 1)
+    misses, _, _ = offline_lz_oracle(trace, 1)
     assert misses / len(trace) < 0.05
 
 
 def test_lz_policy_first_round_is_uniform():
     policy = LzSagePolicy(5, 2, seed=0)
-    assert policy.states[0].marginals() == pytest.approx([0.4] * 5, abs=1e-12)
+    assert policy.table[0].marginals() == pytest.approx([0.4] * 5, abs=1e-12)
 
 
 def test_lz_policy_reproducible():

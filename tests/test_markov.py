@@ -2,36 +2,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unicache import (DomainError, EtaConfig, MarkovContext, MarkovSagePolicy,
-                      RequestTrace, SagePolicy, offline_markov_hit_rate,
-                      online_markov_sage, replay, shift_context)
+from unicache import (DomainError, EtaConfig, MarkovSagePolicy, RequestTrace, SagePolicy,
+                      Window, offline_markov_hit_rate, online_markov_sage, replay)
 from util import random_trace
 
 
 def test_shift_context_drops_oldest():
-    ctx = MarkovContext(k=2, window=(1, 5))
-    assert shift_context(ctx, 2).window == (5, 2)
+    window = Window(2)
+    for x in (1, 5, 2):
+        window.advance(x)
+    assert window.current == (5, 2)
 
 
 def test_shift_context_order_zero():
-    ctx = MarkovContext(k=0)
-    assert shift_context(ctx, 3).window == ()
+    window = Window(0)
+    window.advance(3)
+    assert window.current == ()
 
 
 def test_shift_context_grows_during_warmup():
-    ctx = MarkovContext(k=3)
+    window = Window(3)
+    assert window.current == ()
     for x, expect in [(4, (4,)), (5, (4, 5)), (6, (4, 5, 6)), (7, (5, 6, 7))]:
-        ctx = shift_context(ctx, x)
-        assert ctx.window == expect
+        window.advance(x)
+        assert window.current == expect
 
 
 def test_context_validation():
     with pytest.raises(DomainError):
-        MarkovContext(k=-1)
+        Window(-1)
     with pytest.raises(DomainError):
-        MarkovContext(k=1, window=(0, 1))
-    with pytest.raises(DomainError):
-        shift_context(MarkovContext(k=1), -2)
+        MarkovSagePolicy(3, 1, k=-1)
 
 
 def test_order_one_contexts_on_three_requests():

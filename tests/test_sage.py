@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from unicache import (DomainError, EtaConfig, NumericError, SagePolicy, SageState,
                       ScaleGuardError, SplitMix64, esp_all, esp_leave_one_out,
-                      hedge_bruteforce_marginals, madow_sample, marginals,
-                      marginals_from_weights, sage_predict, sage_update)
+                      hedge_bruteforce_marginals, madow_sample, marginals_from_weights,
+                      sage_update)
 from unicache import sage as sage_mod
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def test_leave_one_out_symmetry():
 
 def test_marginals_symmetric_state():
     st_ = SageState(3, 2, eta=0.5)
-    assert marginals(st_) == pytest.approx([2 / 3] * 3, abs=1e-12)
+    assert st_.marginals() == pytest.approx([2 / 3] * 3, abs=1e-12)
 
 
 def test_marginals_worked_weights():
@@ -92,7 +92,7 @@ def test_marginals_worked_weights():
 def test_marginals_two_file_sigmoid():
     st_ = SageState(2, 1, eta=1.0)
     sage_update(st_, 0)
-    p = marginals(st_)
+    p = st_.marginals()
     assert p[0] == pytest.approx(math.e / (1 + math.e), abs=1e-13)
     assert p[1] == pytest.approx(1 / (1 + math.e), abs=1e-13)
 
@@ -101,14 +101,14 @@ def test_marginals_heavy_concentration():
     st_ = SageState(2, 1, eta=1.0)
     for _ in range(1000):
         sage_update(st_, 0)
-    assert marginals(st_)[0] >= 1 - 1e-6
+    assert st_.marginals()[0] >= 1 - 1e-6
 
 
 def test_marginals_degenerate_counts_use_scaled_path():
     st_ = SageState(3, 2, eta=1.0)
     st_.counts = [3000, 1000, 0]
     st_.count_max = 3000
-    p = marginals(st_)
+    p = st_.marginals()
     assert p[0] == pytest.approx(1.0, abs=1e-9)
     assert p[1] == pytest.approx(1.0, abs=1e-9)
     assert p[2] < 1e-200
@@ -117,7 +117,7 @@ def test_marginals_degenerate_counts_use_scaled_path():
 def test_marginals_full_cache_is_all_ones():
     st_ = SageState(4, 4, eta=0.3)
     sage_update(st_, 2)
-    assert marginals(st_) == pytest.approx([1.0] * 4, abs=1e-12)
+    assert st_.marginals() == pytest.approx([1.0] * 4, abs=1e-12)
 
 
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=3),
@@ -133,7 +133,7 @@ def test_marginals_match_bruteforce_hedge(n, c, count_seed, eta):
     st_.counts = counts
     st_.count_max = max(counts)
     expect = hedge_bruteforce_marginals(counts, eta, n, c)
-    assert marginals(st_) == pytest.approx(expect, abs=1e-10)
+    assert st_.marginals() == pytest.approx(expect, abs=1e-10)
 
 
 def test_marginals_extreme_eta_match_high_precision_enumeration():
@@ -157,7 +157,7 @@ def test_marginals_extreme_eta_match_high_precision_enumeration():
     state = SageState(n, c, eta=eta)
     state.counts = counts
     state.count_max = max(counts)
-    got = marginals(state)
+    got = state.marginals()
     assert got == pytest.approx(expect, abs=1e-12)
 
 
@@ -165,9 +165,9 @@ def test_update_raises_marginal_of_updated_file():
     st_ = SageState(5, 2, eta=0.8)
     for x in (0, 1, 1, 3):
         sage_update(st_, x)
-    before = marginals(st_)[3]
+    before = st_.marginals()[3]
     sage_update(st_, 3)
-    assert marginals(st_)[3] > before
+    assert st_.marginals()[3] > before
 
 
 def test_marginals_shift_invariance():
@@ -175,7 +175,7 @@ def test_marginals_shift_invariance():
     b = SageState(4, 2, eta=0.6)
     a.counts, a.count_max = [3, 1, 0, 2], 3
     b.counts, b.count_max = [13, 11, 10, 12], 13
-    assert marginals(a) == pytest.approx(marginals(b), abs=1e-12)
+    assert a.marginals() == pytest.approx(b.marginals(), abs=1e-12)
 
 
 def test_marginals_permutation_invariance():
@@ -186,7 +186,7 @@ def test_marginals_permutation_invariance():
     b = SageState(4, 2, eta=0.4)
     b.counts = [counts[perm[i]] for i in range(4)]
     b.count_max = max(counts)
-    pa, pb = marginals(a), marginals(b)
+    pa, pb = a.marginals(), b.marginals()
     assert pb == pytest.approx([pa[perm[i]] for i in range(4)], abs=1e-12)
 
 
@@ -354,7 +354,7 @@ def test_madow_property_exactly_c_distinct(raw, c, u):
 
 def test_single_file_library():
     st_ = SageState(1, 1, eta=1.0)
-    assert marginals(st_) == [1.0]
+    assert st_.marginals() == [1.0]
     assert madow_sample([1.0], 0.5) == [0]
 
 
@@ -387,6 +387,11 @@ def test_eta_config_validation():
         EtaConfig(mode="bogus")
     with pytest.raises(DomainError):
         EtaConfig(eta=0.0)
+    for eta in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            EtaConfig(eta=eta)
+        with pytest.raises(DomainError):
+            SageState(3, 2, eta=eta)
     with pytest.raises(DomainError):
         EtaConfig(horizon=0)
 
@@ -415,10 +420,10 @@ def test_fixed_mode_keeps_eta():
 
 def test_sage_predict_fresh_state_uniform_and_deterministic():
     st_ = SageState(6, 2, eta=0.5)
-    assert marginals(st_) == pytest.approx([2 / 6] * 6, abs=1e-12)
-    a = sage_predict(st_, SplitMix64(123))
-    b = sage_predict(st_, SplitMix64(123))
-    assert a.files == b.files and a.size == 2
+    assert st_.marginals() == pytest.approx([2 / 6] * 6, abs=1e-12)
+    a = madow_sample(st_.marginals(), SplitMix64(123).next_float())
+    b = madow_sample(st_.marginals(), SplitMix64(123).next_float())
+    assert a == b and len(set(a)) == 2
 
 
 def test_sage_policy_reproducible():
