@@ -456,17 +456,17 @@ class MachineSagePolicy:
         self.table = {machine.current: SageState.fresh(n_files, cache_size, self.eta_config)}
 
     def step(self, request: int) -> int:
-        machine = self.machine
-        st = self.table.get(machine.current)
+        state = self.machine.current
+        st = self.table.get(state)
         if st is None:
             st = SageState.fresh(self.n_files, self.cache_size, self.eta_config)
-            self.table[machine.current] = st
+            self.table[state] = st
         sel = madow_sample(st.marginals(), self.rng.next_float())
         hit = 1 if request in sel else 0
         st.update(request)
         if not hit:
             st.note_miss()
-        machine.advance(request)
+        self.machine.advance(request)
         return hit
 
     @property
