@@ -16,16 +16,15 @@ from .core import (CacheSet, ConfigError, DataError, DomainError, EmptyTraceErro
                    NumericError, RequestTrace, RunRecord, ScaleGuardError, SplitMix64,
                    UniCacheError, hit_rate, load_trace, regret, replay, save_trace,
                    score_round)
-from .fsm import (FifoPolicy, FsmRunner, FsmSpec, FspPolicy, LruPolicy, Prefetcher,
-                  VisitCounts, Window, fifo_fsp, fsm_step, load_fsm, lru_fsp,
-                  offline_fsp_hits, optimal_prefetcher, save_fsm, simulate_fsp,
-                  state_file_counts, top_c_hits, visit_counts)
-from .sage import (EtaConfig, MachineSagePolicy, SagePolicy, SageState, esp_all,
-                   esp_leave_one_out, hedge_bruteforce_marginals, madow_sample,
-                   marginals_from_weights, sage_update)
-from .markov import MarkovSagePolicy, offline_markov_hit_rate, online_markov_sage
+from .fsm import (FifoPolicy, FsmRunner, FsmSpec, LruPolicy, Prefetcher, VisitCounts,
+                  Window, fifo_fsp, load_fsm, lru_fsp, offline_fsp_hits,
+                  optimal_prefetcher, save_fsm, simulate_fsp, state_file_counts,
+                  top_c_hits, visit_counts)
+from .sage import (EtaConfig, MachineSagePolicy, SagePolicy, SageState,
+                   hedge_bruteforce_marginals, madow_sample)
+from .markov import MarkovSagePolicy, offline_markov_hit_rate
 from .lz import (LzSagePolicy, LzTree, depth_split_counts, dump_tree, offline_lz_oracle,
-                 parse_phrases, run_lz_policy)
+                 parse_phrases)
 from .bounds import (fsm_regret_bound, fsp_total_regret_bound, lz_regret_bound,
                      markov_regret_bound, markov_vs_fsp_gap, miss_fraction_bound,
                      static_regret_bound)

@@ -90,15 +90,6 @@ class VisitCounts:
         return len(self.counts[0]) if self.counts else 0
 
 
-def fsm_step(spec: FsmSpec, state: int, request: int) -> int:
-    """Next state after observing `request` in `state`."""
-    if not 0 <= state < spec.n_states:
-        raise DomainError(f"state {state} outside [0, {spec.n_states})")
-    if not 0 <= request < spec.n_files:
-        raise DomainError(f"request {request} outside [0, {spec.n_files})")
-    return spec.transitions[state][request]
-
-
 class FsmRunner:
     """An `FsmSpec` walked from its start state."""
 
@@ -188,13 +179,14 @@ def simulate_fsp(spec: FsmSpec, prefetcher: Prefetcher, trace: RequestTrace) -> 
     """Replay: prefetch f(s_t), observe x_t, score, then transition."""
     if len(prefetcher.caches) != spec.n_states:
         raise DomainError(f"prefetcher covers {len(prefetcher.caches)} states, FSM has {spec.n_states}")
+    if trace.n_files > spec.n_files:
+        raise DomainError(f"trace uses {trace.n_files} files but FSM only knows {spec.n_files}")
     sets = [c.files for c in prefetcher.caches]
-    table = spec.transitions
-    s = spec.initial_state
+    machine = FsmRunner(spec)
     hits = bytearray()
     for x in trace.requests:
-        hits.append(1 if x in sets[s] else 0)
-        s = table[s][x]
+        hits.append(1 if x in sets[machine.current] else 0)
+        machine.advance(x)
     return RunRecord(policy_name="fsp", hits=bytes(hits))
 
 
@@ -369,20 +361,3 @@ def load_fsm(path) -> tuple[FsmSpec, Prefetcher | None]:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
         prefetcher = Prefetcher(caches=caches)
     return spec, prefetcher
-
-
-class FspPolicy:
-    """Replay a fixed FSP as an online policy (used for oracle verification)."""
-
-    def __init__(self, spec: FsmSpec, prefetcher: Prefetcher, name: str = "fsp"):
-        if len(prefetcher.caches) != spec.n_states:
-            raise DomainError("prefetcher and FSM disagree on the state count")
-        self.name = name
-        self.spec = spec
-        self.sets = [c.files for c in prefetcher.caches]
-        self.state = spec.initial_state
-
-    def step(self, request: int) -> int:
-        hit = 1 if request in self.sets[self.state] else 0
-        self.state = self.spec.transitions[self.state][request]
-        return hit

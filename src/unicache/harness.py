@@ -45,8 +45,6 @@ from .sage import EtaConfig, SagePolicy
 
 CSV_HEADER = "policy,k,seed,T,N,C,hits,hit_rate,regret_static,regret_markov_k,bound_value"
 
-_RANDOMIZED = ("sage", "markov", "lz")
-
 
 @dataclass(frozen=True)
 class PolicySpec:
@@ -200,6 +198,10 @@ def _config_from(parser: configparser.ConfigParser, path) -> ExperimentConfig:
             cfg.gen_set_size = int(set_size_raw) if set_size_raw else None
         except ValueError:
             raise ConfigError("[trace]: states/files/rounds/seed must be integers") from None
+        for key in ("states", "files", "rounds"):
+            value = getattr(cfg, f"gen_{key}")
+            if value < 1:
+                raise ConfigError(f"[trace] {key}: must be a positive integer, got {value}")
     return cfg
 
 

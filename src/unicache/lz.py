@@ -16,7 +16,7 @@ statistics; no special end-of-stream handling.
 
 from __future__ import annotations
 
-from .core import DomainError, RequestTrace, RunRecord, replay
+from .core import DomainError, RequestTrace
 from .fsm import state_file_counts, top_c_hits
 from .sage import EtaConfig, MachineSagePolicy
 
@@ -108,15 +108,6 @@ class LzSagePolicy(MachineSagePolicy):
     def __init__(self, n_files: int, cache_size: int,
                  eta_config: EtaConfig | None = None, seed: int = 0, name: str = "lz"):
         super().__init__(name, LzTree(n_files), n_files, cache_size, eta_config, seed)
-
-
-def run_lz_policy(trace: RequestTrace, cache_size: int,
-                  eta_config: EtaConfig | None = None, seed: int = 0
-                  ) -> tuple[RunRecord, LzTree]:
-    """Run the LZ policy over a trace; returns the run record and final tree."""
-    policy = LzSagePolicy(trace.n_files, cache_size, eta_config, seed)
-    record = replay(policy, trace)
-    return record, policy.machine
 
 
 def offline_lz_oracle(trace: RequestTrace, cache_size: int) -> tuple[int, int, int]:

@@ -13,7 +13,7 @@ nondecreasing in k on every trace.
 
 from __future__ import annotations
 
-from .core import DomainError, RequestTrace, RunRecord, replay
+from .core import DomainError, RequestTrace
 from .fsm import Window, state_file_counts, top_c_hits
 from .sage import EtaConfig, MachineSagePolicy
 
@@ -37,9 +37,3 @@ class MarkovSagePolicy(MachineSagePolicy):
         super().__init__(name if name is not None else f"markov:{k}", Window(k),
                          n_files, cache_size, eta_config, seed)
 
-
-def online_markov_sage(trace: RequestTrace, k: int, cache_size: int,
-                       eta_config: EtaConfig | None = None, seed: int = 0) -> RunRecord:
-    """Run the per-context SAGE policy over a trace."""
-    policy = MarkovSagePolicy(trace.n_files, cache_size, k, eta_config, seed)
-    return replay(policy, trace)

@@ -13,15 +13,17 @@ all k-subsets of the product of their weights. A set of exactly C files
 with those marginals is then drawn by Madow's systematic sampling, which
 needs a single uniform draw.
 
-ESPs are evaluated by the O(N*C) dynamic-programming recurrence
-E[j][k] = E[j-1][k] + w_j * E[j-1][k-1]. All terms are nonnegative, so the
-forward pass is numerically benign. Weights are always normalized to
-max(w) = 1 before evaluation (marginals depend only on count differences).
-The leave-one-out values take one of two paths:
+ESPs are evaluated by the dynamic-programming recurrence
+E[j][k] = E[j-1][k] + w_j * E[j-1][k-1], O(N*C). All terms are
+nonnegative, so the forward pass is numerically benign. Weights are
+always normalized to max(w) = 1 before evaluation (marginals depend only
+on count differences). The leave-one-out values take one of two paths:
 
 - plain doubles, the cheap path at small N: the deletion recurrence
   f_k = e_k - w_i * f_{k-1}, which can cancel catastrophically, guarded by
-  an error-amplification bound with a per-index recomputation as fallback;
+  an error-amplification bound. Each file whose guard trips gets a fresh
+  O(N*C) DP without it, so a call costs O(N*C) plus O(N*C) per cancelling
+  file, O(N^2*C) in the worst case, where most files cancel;
 - mantissa/exponent pairs, once e_C leaves the double range: prefix rows
   P_i[a] = e_a(w_1..w_i) and a rolling suffix row S_{i+1}[b] =
   e_b(w_{i+1}..w_N) give e_{C-1}(w_{-i}) = sum_a P_{i-1}[a] * S_{i+1}[C-1-a],
@@ -50,14 +52,6 @@ _MARGINAL_SUM_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
 # ESP evaluation
-
-
-def _check_esp_args(weights, order: int) -> None:
-    if order < 0 or order > len(weights):
-        raise DomainError(f"ESP order {order} outside [0, {len(weights)}]")
-    for w in weights:
-        if not w >= 0.0:
-            raise DomainError(f"weights must be nonnegative finite, got {w}")
 
 
 def _log_to_pair(log_weight: float) -> tuple[float, int]:
@@ -133,35 +127,6 @@ def _esp_loo_scaled(pairs, order: int):
         wm, wx = pairs[i]
         _esp_push(sm, sx, wm, wx, min(order, n - i))
     return m, x, loo
-
-
-def _scaled_to_float(mant: float, ex: int) -> float:
-    if mant == 0.0:
-        return 0.0
-    if ex > 1024:
-        raise NumericError("ESP value overflows double precision despite rescaling")
-    return math.ldexp(mant, ex)
-
-
-def esp_all(weights, order: int) -> list[float]:
-    """Elementary symmetric polynomials e_0..e_order of the given weights."""
-    _check_esp_args(weights, order)
-    m, x = _unit_row(order + 1)
-    for j, w in enumerate(weights):
-        wm, wx = math.frexp(w)
-        _esp_push(m, x, wm, wx, min(order, j + 1))
-    return [_scaled_to_float(m[k], x[k]) for k in range(order + 1)]
-
-
-def esp_leave_one_out(weights, order: int) -> list[float]:
-    """Per-index order-`order` ESPs of the weights with that index deleted,
-    from the prefix/suffix tables of `_esp_loo_scaled`."""
-    _check_esp_args(weights, order)
-    n = len(weights)
-    if order > max(0, n - 1):
-        raise DomainError(f"leave-one-out order {order} needs at least {order + 1} weights")
-    _, _, loo = _esp_loo_scaled([math.frexp(w) for w in weights], order)
-    return [_scaled_to_float(fm, fx) for fm, fx in loo]
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +210,6 @@ def _marginals_scaled(pairs, cache_size: int) -> list[float]:
     if out is None:
         raise NumericError("marginals failed to normalize to the cache size")
     return out
-
-
-def marginals_from_weights(weights, cache_size: int) -> list[float]:
-    """Hedge marginals p(i) = w(i) * e_{C-1}(w_{-i}) / e_C(w) for given weights."""
-    w = [float(v) for v in weights]
-    _check_esp_args(w, cache_size)
-    if cache_size < 1 or cache_size > len(w):
-        raise DomainError(f"cache size {cache_size} outside [1, {len(w)}]")
-    wmax = max(w)
-    if wmax <= 0.0:
-        raise DomainError("at least one weight must be positive")
-    if wmax != 1.0:
-        w = [v / wmax for v in w]
-    p = _marginals_fast(w, cache_size)
-    if p is None:
-        p = _marginals_scaled([math.frexp(v) for v in w], cache_size)
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +349,6 @@ class SageState:
         if self.eta_mode == "doubling" and self.misses >= self._miss_mark:
             self.eta *= 0.7071067811865476  # 1/sqrt(2) per miss doubling
             self._miss_mark *= 2
-
-
-def sage_update(state: SageState, request: int) -> None:
-    """Record one request: counts[request] += 1."""
-    if not 0 <= request < state.n_files:
-        raise DomainError(f"request {request} outside [0, {state.n_files})")
-    state.update(request)
 
 
 def hedge_bruteforce_marginals(counts, eta: float, n_files: int, cache_size: int) -> list[float]:

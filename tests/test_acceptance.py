@@ -10,13 +10,13 @@ from statistics import mean, stdev
 
 import pytest
 
-from unicache import (EtaConfig, FifoPolicy, LruPolicy, RequestTrace, SagePolicy,
-                      SageState, SplitMix64, fifo_fsp, generate_trace,
-                      hedge_bruteforce_marginals, hit_rate, lru_fsp, lz_regret_bound,
-                      madow_sample, markov_regret_bound, markov_vs_fsp_gap,
-                      miss_fraction_bound, offline_fsp_hits, offline_lz_oracle,
-                      offline_markov_hit_rate, online_markov_sage, optimal_prefetcher,
-                      parse_phrases, random_fsm, replay, run_lz_policy, simulate_fsp,
+from unicache import (EtaConfig, FifoPolicy, LruPolicy, LzSagePolicy, MarkovSagePolicy,
+                      RequestTrace, SagePolicy, SageState, SplitMix64, fifo_fsp,
+                      generate_trace, hedge_bruteforce_marginals, hit_rate, lru_fsp,
+                      lz_regret_bound, madow_sample, markov_regret_bound,
+                      markov_vs_fsp_gap, miss_fraction_bound, offline_fsp_hits,
+                      offline_lz_oracle, offline_markov_hit_rate, optimal_prefetcher,
+                      parse_phrases, random_fsm, replay, simulate_fsp,
                       static_regret_bound, visit_counts)
 from util import worked_example
 
@@ -241,7 +241,7 @@ def test_acceptance_07_zero_miss_order_one_regret():
         trace = build(horizon)
         rate, oracle_hits = offline_markov_hit_rate(trace, 1, c)
         assert oracle_hits == horizon  # zero-miss certificate for the oracle
-        regs = [oracle_hits - online_markov_sage(trace, 1, c, seed=s).cumulative_hits
+        regs = [oracle_hits - replay(MarkovSagePolicy(n, c, 1, seed=s), trace).cumulative_hits
                 for s in range(20)]
         by_horizon[horizon] = mean(regs)
         assert by_horizon[horizon] <= bound, (horizon, by_horizon[horizon], bound)
@@ -258,9 +258,9 @@ def synthetic_sweep():
     trace = generate_trace(spec, arrays, spec.initial_state, 100_000, seed=8)
     horizon = len(trace)
     seeds = range(20)
-    markov = {k: [online_markov_sage(trace, k, 2, seed=s).cumulative_hits / horizon
+    markov = {k: [replay(MarkovSagePolicy(3, 2, k, seed=s), trace).cumulative_hits / horizon
                   for s in seeds] for k in range(9)}
-    lz = [run_lz_policy(trace, 2, seed=s)[0].cumulative_hits / horizon for s in seeds]
+    lz = [replay(LzSagePolicy(3, 2, seed=s), trace).cumulative_hits / horizon for s in seeds]
     sage = [replay(SagePolicy(3, 2, seed=s), trace).cumulative_hits / horizon
             for s in seeds]
     return horizon, markov, lz, sage
@@ -322,7 +322,11 @@ def test_acceptance_09_parse_correctness_and_lz_regret():
         n, c = trace.n_files, 1
         lz_misses = offline_lz_oracle(trace, c)[0]
         c_t = parse_phrases(trace)[1].node_count
-        hits = [run_lz_policy(trace, c, seed=s)[0].cumulative_hits for s in range(20)]
+        hits = []
+        for s in range(20):
+            policy = LzSagePolicy(n, c, seed=s)
+            hits.append(replay(policy, trace).cumulative_hits)
+            assert policy.machine.node_count == c_t  # the policy walks the same parse
         mh, se = mean(hits), _se(hits)
         for k in (0, 1, 2):
             oracle_hits = offline_markov_hit_rate(trace, k, c)[1]

@@ -2,35 +2,48 @@ from itertools import combinations, product
 
 import pytest
 
-from unicache import (DataError, DomainError, FifoPolicy, FsmSpec, FspPolicy, LruPolicy,
+from unicache import (DataError, DomainError, FifoPolicy, FsmRunner, FsmSpec, LruPolicy,
                       Prefetcher, RequestTrace, ScaleGuardError, SplitMix64, fifo_fsp,
-                      fsm_step, hit_rate, load_fsm, lru_fsp, offline_fsp_hits,
-                      optimal_prefetcher, replay, save_fsm, simulate_fsp, visit_counts)
+                      hit_rate, load_fsm, lru_fsp, offline_fsp_hits, optimal_prefetcher,
+                      replay, save_fsm, simulate_fsp, visit_counts)
 from util import random_trace, worked_example
+
+
+def _after(spec, state, request):
+    """State an `FsmRunner` reaches by reading `request` in `state`."""
+    machine = FsmRunner(spec)
+    machine.current = state
+    machine.advance(request)
+    return machine.current
 
 
 def test_fsm_step_worked_example_edges():
     spec, _, _, _ = worked_example()
-    assert fsm_step(spec, 0, 1) == 1   # the one request that leaves state 0
-    assert fsm_step(spec, 0, 0) == 0
-    assert fsm_step(spec, 1, 0) == 2
-    assert fsm_step(spec, 1, 3) == 0
+    assert FsmRunner(spec).current == spec.initial_state
+    assert _after(spec, 0, 1) == 1   # the one request that leaves state 0
+    assert _after(spec, 0, 0) == 0
+    assert _after(spec, 1, 0) == 2
+    assert _after(spec, 1, 3) == 0
     for x in range(5):
-        assert fsm_step(spec, 2, x) == 0  # state 2 always falls back
+        assert _after(spec, 2, x) == 0  # state 2 always falls back
 
 
 def test_fsm_step_single_state():
-    spec = FsmSpec(1, 3, [[0, 0, 0]], 0)
-    for x in range(3):
-        assert fsm_step(spec, 0, x) == 0
+    machine = FsmRunner(FsmSpec(1, 3, [[0, 0, 0]], 0))
+    for x in (0, 2, 1, 1):
+        machine.advance(x)
+        assert machine.current == 0
 
 
 def test_fsm_step_domain_errors():
+    # The runner trusts its input; a walk over a trace is checked up front:
+    # a trace over more files than the machine reads is rejected.
     spec = FsmSpec(2, 2, [[0, 1], [1, 0]], 0)
+    trace = RequestTrace(3, [0, 2])
     with pytest.raises(DomainError):
-        fsm_step(spec, 2, 0)
+        simulate_fsp(spec, Prefetcher([_cache((0,), 2)] * 2), trace)
     with pytest.raises(DomainError):
-        fsm_step(spec, 0, 2)
+        visit_counts(spec, trace)
 
 
 def test_fsm_spec_validation():
@@ -238,9 +251,15 @@ def test_tuple_fsp_scale_guard():
 
 
 def test_fsp_policy_matches_simulate():
+    # the prefetcher as a policy, walked by hand: cache of the current
+    # state, then the transition; simulate_fsp must give the same hit bits
     spec, trace, _, _ = worked_example()
     _, pf = offline_fsp_hits(spec, trace, 2)
-    assert replay(FspPolicy(spec, pf), trace).hits == simulate_fsp(spec, pf, trace).hits
+    s, bits = spec.initial_state, []
+    for x in trace.requests:
+        bits.append(1 if x in pf.caches[s].files else 0)
+        s = spec.transitions[s][x]
+    assert list(simulate_fsp(spec, pf, trace).hits) == bits
 
 
 # ---------------------------------------------------------------------------

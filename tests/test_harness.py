@@ -61,6 +61,11 @@ def test_parse_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="eta_mode"):
         _write_config(tmp_path / "e.ini",
                       "[trace]\npath=x\n[run]\ncache_size=2\npolicies=sage\neta_mode=off\n")
+    for key in ("states", "files", "rounds"):
+        sizes = {"states": 2, "files": 3, "rounds": 10, key: 0}
+        body = "[trace]\n" + "".join(f"{k}={v}\n" for k, v in sizes.items())
+        with pytest.raises(ConfigError, match=rf"\[trace\] {key}: must be a positive integer"):
+            _write_config(tmp_path / f"{key}0.ini", body + "[run]\ncache_size=2\npolicies=sage\n")
 
 
 def test_run_worked_example_oracle_row(tmp_path):
@@ -304,6 +309,11 @@ seeds = 0
         r = _cli("run", "--config", name, cwd=tmp_path)
         assert r.returncode == 2, (name, r.stderr)
         assert "Traceback" not in r.stderr, r.stderr
+    (tmp_path / "rounds0.ini").write_text(
+        "[trace]\nstates = 5\nfiles = 3\nrounds = 0\n[run]\ncache_size = 2\npolicies = sage\n")
+    r = _cli("run", "--config", "rounds0.ini", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "[trace] rounds" in r.stderr, r.stderr
     r = _cli("bounds", "--files", "3", "--cache", "2", "--states", "50",
              "--rounds", "1000", "--max-order", "2", cwd=tmp_path)
     assert r.returncode == 0, r.stderr

@@ -4,7 +4,7 @@ import pytest
 
 from unicache import (DomainError, LzSagePolicy, LzTree, RequestTrace,
                       depth_split_counts, dump_tree, offline_lz_oracle,
-                      offline_markov_hit_rate, parse_phrases, replay, run_lz_policy,
+                      offline_markov_hit_rate, parse_phrases, replay,
                       SagePolicy, SplitMix64)
 from util import mean, random_trace
 
@@ -127,17 +127,16 @@ def test_lz_policy_first_round_is_uniform():
 
 def test_lz_policy_reproducible():
     trace = random_trace(3, 400, 31)
-    a, tree_a = run_lz_policy(trace, 2, seed=5)
-    b, tree_b = run_lz_policy(trace, 2, seed=5)
-    assert a.hits == b.hits
-    assert tree_a.node_count == tree_b.node_count
+    a, b = LzSagePolicy(3, 2, seed=5), LzSagePolicy(3, 2, seed=5)
+    assert replay(a, trace).hits == replay(b, trace).hits
+    assert a.machine.node_count == b.machine.node_count
 
 
 def test_lz_policy_beats_plain_sage_on_periodic_stream():
     trace = RequestTrace(3, [0, 1, 2] * 1000)
     lz_rates, sage_rates = [], []
     for seed in range(10):
-        rec, _ = run_lz_policy(trace, 1, seed=seed)
+        rec = replay(LzSagePolicy(3, 1, seed=seed), trace)
         lz_rates.append(rec.cumulative_hits / rec.T)
         rec = replay(SagePolicy(3, 1, seed=seed), trace)
         sage_rates.append(rec.cumulative_hits / rec.T)

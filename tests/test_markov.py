@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicache import (DomainError, EtaConfig, MarkovSagePolicy, RequestTrace, SagePolicy,
-                      Window, offline_markov_hit_rate, online_markov_sage, replay)
+                      Window, offline_markov_hit_rate, replay)
 from util import random_trace
 
 
@@ -90,14 +90,14 @@ def test_order_zero_policy_identical_to_plain_sage():
     trace = random_trace(5, 400, 17)
     cfg = EtaConfig()
     a = replay(SagePolicy(5, 2, cfg, seed=7), trace)
-    b = online_markov_sage(trace, 0, 2, cfg, seed=7)
+    b = replay(MarkovSagePolicy(5, 2, 0, cfg, seed=7), trace)
     assert a.hits == b.hits
 
 
 def test_online_markov_reproducible():
     trace = random_trace(4, 300, 3)
-    a = online_markov_sage(trace, 2, 2, seed=11)
-    b = online_markov_sage(trace, 2, 2, seed=11)
+    a = replay(MarkovSagePolicy(4, 2, 2, seed=11), trace)
+    b = replay(MarkovSagePolicy(4, 2, 2, seed=11), trace)
     assert a.hits == b.hits and a.cumulative_hits == b.cumulative_hits
 
 
@@ -111,7 +111,7 @@ def test_context_table_stays_bounded():
 
 def test_online_learns_deterministic_cycle():
     trace = RequestTrace(4, [0, 1, 2, 3] * 250)
-    rec = online_markov_sage(trace, 1, 1, seed=4)
+    rec = replay(MarkovSagePolicy(4, 1, 1, seed=4), trace)
     # after each context's first few visits the successor is locked in
     assert rec.cumulative_hits >= len(trace) - 40
 

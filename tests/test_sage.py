@@ -4,74 +4,104 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unicache import (DomainError, EtaConfig, NumericError, SagePolicy, SageState,
-                      ScaleGuardError, SplitMix64, esp_all, esp_leave_one_out,
-                      hedge_bruteforce_marginals, madow_sample, marginals_from_weights,
-                      sage_update)
+from unicache import (DomainError, EtaConfig, NumericError, RequestTrace, SagePolicy,
+                      SageState, ScaleGuardError, SplitMix64, hedge_bruteforce_marginals,
+                      madow_sample)
 from unicache import sage as sage_mod
 
 # ---------------------------------------------------------------------------
-# elementary symmetric polynomials
+# elementary symmetric polynomials, through both marginal paths
+#
+# p(i) = w(i) * e_{C-1}(w_{-i}) / e_C(w): the plain path evaluates the ESPs
+# in doubles with a guarded deletion recurrence, the scaled path in
+# mantissa/exponent prefix/suffix tables.
+
+
+def _both_paths(weights, c):
+    """Marginals of the given weights (max 1) from the plain and the scaled path."""
+    fast = sage_mod._marginals_fast(list(weights), c)
+    assert fast is not None
+    return fast, sage_mod._marginals_scaled([math.frexp(w) for w in weights], c)
+
+
+def _max_error(got, expect):
+    return max(abs(a - b) for a, b in zip(got, expect))
 
 
 def test_esp_all_examples():
-    assert esp_all([1.0, 1.0, 1.0], 2) == [1.0, 3.0, 3.0]
-    # enumerate 2-subsets of (1,2,3): 1*2 + 1*3 + 2*3 = 11
-    assert esp_all([1.0, 2.0, 3.0], 2)[2] == pytest.approx(11.0, rel=1e-14)
-    assert esp_all([5.0], 1) == [1.0, 5.0]
-    assert esp_all([2.0, 4.0], 0) == [1.0]
+    # (1, 2, 3)/3 at C=2: e_2 = 1*2 + 1*3 + 2*3 = 11, e_1 without i = (5, 4, 3)
+    for p in _both_paths([1 / 3, 2 / 3, 1.0], 2):
+        assert p == pytest.approx([5 / 11, 8 / 11, 9 / 11], abs=1e-14)
+    for p in _both_paths([1.0, 1.0, 1.0], 2):
+        assert p == pytest.approx([2 / 3] * 3, abs=1e-15)
+    assert _both_paths([1.0], 1) == ([1.0], [1.0])
+    assert _both_paths([0.5, 1.0], 2) == ([1.0, 1.0], [1.0, 1.0])
 
 
 def test_esp_all_errors():
-    with pytest.raises(DomainError):
-        esp_all([1.0, 1.0], 3)
-    with pytest.raises(DomainError):
-        esp_all([1.0, -1.0], 1)
+    # e_C past the double range either way: the plain path declines
+    assert sage_mod._marginals_fast([1.0] * 5, 3) is not None
+    assert sage_mod._marginals_fast([1e300] * 5, 3) is None  # ~ C(5,3) * 1e900
+    assert sage_mod._marginals_fast([1e-100] * 5, 3) is None  # below the plain floor
+    for w in (1e300, 1e-100):
+        p = sage_mod._marginals_scaled([math.frexp(w)] * 5, 3)
+        assert p == pytest.approx([0.6] * 5, abs=1e-15)
+    # no order-C product is nonzero: marginals are undefined
     with pytest.raises(NumericError):
-        esp_all([1e300] * 5, 3)  # ~ C(5,3) * 1e900
+        sage_mod._marginals_scaled([(0.5, 1), (0.0, 0), (0.0, 0)], 2)
+    with pytest.raises(DomainError):
+        SageState(2, 3, eta=1.0)
 
 
-@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=12))
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=11))
 def test_esp_of_ones_gives_binomials(n, order):
-    if order > n:
+    if order >= n:
         return
-    e = esp_all([1.0] * n, order)
-    assert e == [float(math.comb(n, k)) for k in range(order + 1)]
+    m, x, loo = sage_mod._esp_loo_scaled([math.frexp(1.0)] * n, order)
+    assert [math.ldexp(a, b) for a, b in zip(m, x)] == [
+        float(math.comb(n, k)) for k in range(order + 2)]
+    assert [math.ldexp(a, b) for a, b in loo] == [float(math.comb(n - 1, order))] * n
+    for p in _both_paths([1.0] * n, order + 1):
+        assert p == pytest.approx([(order + 1) / n] * n, abs=1e-14)
 
 
 def test_leave_one_out_examples():
-    # deleting one of (1,2,3): sums of the other two
-    assert esp_leave_one_out([1.0, 2.0, 3.0], 1) == pytest.approx([5.0, 4.0, 3.0])
-    assert esp_leave_one_out([1.0, 1.0], 0) == [1.0, 1.0]
+    # C=1: e_0 without i is 1, so p is w over its sum
+    for p in _both_paths([0.25, 0.5, 1.0], 1):
+        assert p == pytest.approx([1 / 7, 2 / 7, 4 / 7], abs=1e-15)
+    # (1/2, 1, 1/2, 1) at C=2: e_2 = 13/4, e_1 without i = (5/2, 2, 5/2, 2)
+    for p in _both_paths([0.5, 1.0, 0.5, 1.0], 2):
+        assert p == pytest.approx([5 / 13, 8 / 13, 5 / 13, 8 / 13], abs=1e-15)
 
 
 @given(st.lists(st.floats(min_value=0.01, max_value=50.0), min_size=2, max_size=8),
-       st.integers(min_value=0, max_value=6))
+       st.integers(min_value=1, max_value=7))
 @settings(max_examples=60)
-def test_leave_one_out_matches_direct_deletion(weights, order):
-    if order > len(weights) - 1:
+def test_leave_one_out_matches_direct_deletion(weights, c):
+    if c > len(weights):
         return
-    loo = esp_leave_one_out(weights, order)
-    for i in range(len(weights)):
-        rest = weights[:i] + weights[i + 1:]
-        direct = esp_all(rest, order)[order]
-        # surviving cancellation can amplify rounding up to the guard cap
-        assert loo[i] == pytest.approx(direct, rel=1e-9, abs=1e-300)
+    top = max(weights)
+    w = [v / top for v in weights]
+    # the reference deletes each index exactly, in integer arithmetic
+    expect = _exact_marginals([math.frexp(v) for v in w], c)
+    for p in _both_paths(w, c):
+        assert _max_error(p, expect) <= 1e-12
 
 
 def test_leave_one_out_cancellation_fallback():
-    # deleting the dominant weight leaves a sum 1e7 times smaller, where a
-    # deletion recurrence would cancel; the prefix/suffix tables never subtract
+    # Deleting the dominant weight leaves e_2 of the rest, about 1e7 times
+    # smaller than the terms the deletion recurrence subtracts, so the plain
+    # path must recompute file 0 (the recurrence alone is off by ~8e-3
+    # there); the scaled tables never subtract.
     w = [1.0, 4e-8, 3e-8, 3.5e-8]
-    loo = esp_leave_one_out(w, 2)
-    rest = w[1:]
-    expect = rest[0] * rest[1] + rest[0] * rest[2] + rest[1] * rest[2]
-    assert loo[0] == pytest.approx(expect, rel=1e-11)
+    expect = _exact_marginals([math.frexp(v) for v in w], 3)
+    for p in _both_paths(w, 3):
+        assert _max_error(p, expect) <= 1e-15
 
 
 def test_leave_one_out_symmetry():
-    loo = esp_leave_one_out([2.0] * 6, 3)
-    assert max(loo) == min(loo)
+    for p in _both_paths([0.5] * 6, 3):
+        assert max(p) == min(p) == pytest.approx(0.5, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +114,19 @@ def test_marginals_symmetric_state():
 
 
 def test_marginals_worked_weights():
-    p = marginals_from_weights([1.0, 2.0, 3.0], 2)
-    assert p == pytest.approx([5 / 11, 8 / 11, 9 / 11], abs=1e-13)
+    # eta = ln 2 and counts (0, 1, 2) give weights (1, 2, 4)/4; at C=2,
+    # e_2 = 2 + 4 + 8 = 14 and e_1 without i = (6, 5, 3)
+    st_ = SageState(3, 2, eta=math.log(2.0))
+    for x in (1, 2, 2):
+        st_.update(x)
+    p = st_.marginals()
+    assert p == pytest.approx([6 / 14, 10 / 14, 12 / 14], abs=1e-13)
     assert math.fsum(p) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_marginals_two_file_sigmoid():
     st_ = SageState(2, 1, eta=1.0)
-    sage_update(st_, 0)
+    st_.update(0)
     p = st_.marginals()
     assert p[0] == pytest.approx(math.e / (1 + math.e), abs=1e-13)
     assert p[1] == pytest.approx(1 / (1 + math.e), abs=1e-13)
@@ -100,7 +135,7 @@ def test_marginals_two_file_sigmoid():
 def test_marginals_heavy_concentration():
     st_ = SageState(2, 1, eta=1.0)
     for _ in range(1000):
-        sage_update(st_, 0)
+        st_.update(0)
     assert st_.marginals()[0] >= 1 - 1e-6
 
 
@@ -116,7 +151,7 @@ def test_marginals_degenerate_counts_use_scaled_path():
 
 def test_marginals_full_cache_is_all_ones():
     st_ = SageState(4, 4, eta=0.3)
-    sage_update(st_, 2)
+    st_.update(2)
     assert st_.marginals() == pytest.approx([1.0] * 4, abs=1e-12)
 
 
@@ -164,9 +199,9 @@ def test_marginals_extreme_eta_match_high_precision_enumeration():
 def test_update_raises_marginal_of_updated_file():
     st_ = SageState(5, 2, eta=0.8)
     for x in (0, 1, 1, 3):
-        sage_update(st_, x)
+        st_.update(x)
     before = st_.marginals()[3]
-    sage_update(st_, 3)
+    st_.update(3)
     assert st_.marginals()[3] > before
 
 
@@ -247,15 +282,35 @@ def test_scaled_marginals_match_exact_reference(n, c, rounds):
     assert max(abs(a - b) for a, b in zip(state.marginals(), expect)) <= 1e-12
 
 
+@pytest.mark.parametrize("n,c,rounds,eta", [(64, 6, 1_400, 0.05), (300, 20, 6_000, 0.004),
+                                             (1000, 50, 20_000, 0.002)])
+def test_plain_marginals_match_exact_reference(n, c, rounds, eta):
+    # Milder eta keeps e_C in double range, so the plain path answers; the
+    # spread counts make the deletion recurrence cancel for a few files,
+    # which it recomputes.
+    counts = _zipf_counts(n, rounds, seed=0)
+    cmax = max(counts)
+    pairs = [_nats_to_pair(eta * (x - cmax)) for x in counts]
+    expect = _exact_marginals(pairs, c)
+    p = sage_mod._marginals_fast([math.ldexp(m, e) for m, e in pairs], c)
+    assert p is not None
+    assert _max_error(p, expect) <= 1e-12
+    state = SageState(n, c, eta=eta)
+    state.counts, state.count_max = counts, cmax
+    assert _max_error(state.marginals(), expect) <= 1e-12
+
+
 def test_sage_update_validates():
-    st_ = SageState(3, 1, eta=1.0)
+    # requests reach SageState.update only from a RequestTrace, which
+    # checks their range
     with pytest.raises(DomainError):
-        sage_update(st_, 3)
-    sage_update(st_, 1)
-    assert st_.counts == [0, 1, 0]
+        RequestTrace(3, [1, 3])
+    st_ = SageState(3, 1, eta=1.0)
+    st_.update(1)
+    assert st_.counts == [0, 1, 0] and st_.count_max == 1
     for _ in range(4):
-        sage_update(st_, 0)
-    assert st_.counts == [4, 1, 0]
+        st_.update(0)
+    assert st_.counts == [4, 1, 0] and st_.count_max == 4
 
 
 # ---------------------------------------------------------------------------
