@@ -21,7 +21,7 @@ from .fsm import (FifoPolicy, FsmRunner, FsmSpec, LruPolicy, Prefetcher, VisitCo
                   optimal_prefetcher, save_fsm, simulate_fsp, state_file_counts,
                   top_c_hits, visit_counts)
 from .sage import (EtaConfig, MachineSagePolicy, SagePolicy, SageState,
-                   hedge_bruteforce_marginals, madow_sample)
+                   hedge_bruteforce_marginals, lockstep_replay, madow_sample)
 from .markov import MarkovSagePolicy, offline_markov_hit_rate
 from .lz import (LzSagePolicy, LzTree, depth_split_counts, dump_tree, offline_lz_oracle,
                  parse_phrases)

@@ -7,7 +7,10 @@ Reproducibility contract
 ------------------------
 Every randomized policy owns exactly one `SplitMix64` generator seeded at
 construction, and consumes draws in a fixed, documented order: one uniform
-per cache sample (see `sage.madow_sample`), nothing else. The trace
+per cache sample (see `sage.madow_sample`), nothing else. A seed draws
+exactly one `next_float` per round, in the same order, whether its policy
+runs alone under `replay` or beside other seeds under
+`sage.lockstep_replay`, so both give the same hits. The trace
 generator's draw schedule is documented in `datagen`. SplitMix64 is a
 well-known, portable 64-bit generator, so seeds transfer across
 implementations; the algorithm is restated in full in `SplitMix64`.
@@ -79,7 +82,12 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def next_float(self) -> float:
-        return (self.next_u64() >> 11) * 2.0**-53
+        # `next_u64` inlined: the call is a measurable share of a lockstep lane.
+        s = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = s
+        z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
     def next_below(self, n: int) -> int:
         if n <= 0:

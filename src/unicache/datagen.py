@@ -14,7 +14,7 @@ draws one `next_below(C)` per round to pick from A_s.
 from __future__ import annotations
 
 from .core import DomainError, RequestTrace, SplitMix64
-from .fsm import FsmSpec
+from .fsm import FsmRunner, FsmSpec
 
 
 def random_fsm(n_states: int, n_files: int, cache_size: int, seed: int
@@ -54,11 +54,11 @@ def generate_trace(spec: FsmSpec, arrays: list[tuple[int, ...]], initial_state: 
         if len(a) != size or len(set(a)) != size:
             raise DomainError(f"state {s} array must hold {size} distinct files")
     rng = SplitMix64(seed)
-    table = spec.transitions
-    s = initial_state
+    machine = FsmRunner(spec)
+    machine.current = initial_state
     requests = []
     for _ in range(horizon):
-        x = arrays[s][rng.next_below(size)]
+        x = arrays[machine.current][rng.next_below(size)]
         requests.append(x)
-        s = table[s][x]
+        machine.advance(x)
     return RequestTrace(n_files=spec.n_files, requests=requests)

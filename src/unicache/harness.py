@@ -41,7 +41,7 @@ from .datagen import generate_trace, random_fsm
 from .fsm import FifoPolicy, LruPolicy, load_fsm, offline_fsp_hits
 from .lz import LzSagePolicy, offline_lz_oracle
 from .markov import MarkovSagePolicy, offline_markov_hit_rate
-from .sage import EtaConfig, SagePolicy
+from .sage import EtaConfig, SagePolicy, lockstep_replay
 
 CSV_HEADER = "policy,k,seed,T,N,C,hits,hit_rate,regret_static,regret_markov_k,bound_value"
 
@@ -176,6 +176,8 @@ def _config_from(parser: configparser.ConfigParser, path) -> ExperimentConfig:
         horizon = int(horizon_raw) if horizon_raw else None
     except ValueError:
         raise ConfigError("[run] horizon_hint: not an integer") from None
+    if horizon is not None and horizon < 1:
+        raise ConfigError(f"[run] horizon_hint: must be a positive integer, got {horizon}")
     out = run.get("out", "").strip() or None
 
     cfg = ExperimentConfig(cache_size=cache_size, policies=policies, seeds=seeds,
@@ -197,11 +199,18 @@ def _config_from(parser: configparser.ConfigParser, path) -> ExperimentConfig:
             set_size_raw = tr.get("set_size", "").strip()
             cfg.gen_set_size = int(set_size_raw) if set_size_raw else None
         except ValueError:
-            raise ConfigError("[trace]: states/files/rounds/seed must be integers") from None
+            raise ConfigError("[trace]: states, files, rounds, seed and set_size must be "
+                              "integers") from None
         for key in ("states", "files", "rounds"):
             value = getattr(cfg, f"gen_{key}")
             if value < 1:
                 raise ConfigError(f"[trace] {key}: must be a positive integer, got {value}")
+        files = cfg.gen_files
+        if cfg.gen_set_size is None and cache_size > files:
+            raise ConfigError(f"[run] cache_size {cache_size} exceeds [trace] files {files}")
+        if cfg.gen_set_size is not None and not 1 <= cfg.gen_set_size <= files:
+            raise ConfigError(f"[trace] set_size: must lie in [1, {files}], "
+                              f"got {cfg.gen_set_size}")
     return cfg
 
 
@@ -241,46 +250,41 @@ def run_experiment(cfg: ExperimentConfig, trace: RequestTrace | None = None) -> 
     if _wants(cfg, "lz") or _wants(cfg, "lz-oracle"):
         lz_oracle_misses, lz_oracle_hits, tree_nodes = offline_lz_oracle(trace, c)
 
-    deterministic_cache: dict[str, tuple[int, float | None]] = {}
-
-    def deterministic_hits(spec: PolicySpec) -> tuple[int, float | None]:
-        label = spec.label
-        if label in deterministic_cache:
-            return deterministic_cache[label]
+    def deterministic_hits(spec: PolicySpec) -> int:
         if spec.kind == "static-oracle":
-            result = (static_hits, None)
-        elif spec.kind == "markov-oracle":
-            result = (markov_oracle_hits[spec.order], None)
-        elif spec.kind == "lz-oracle":
-            result = (lz_oracle_hits, None)
-        elif spec.kind == "fsp-oracle":
-            machine, _ = load_fsm(spec.path)
-            result = (offline_fsp_hits(machine, trace, c)[0], None)
-        elif spec.kind == "lru":
-            result = (replay(LruPolicy(n, c), trace).cumulative_hits, None)
-        elif spec.kind == "fifo":
-            result = (replay(FifoPolicy(n, c), trace).cumulative_hits, None)
-        else:
-            raise ConfigError(f"policy {label!r} is not deterministic")
-        deterministic_cache[label] = result
-        return result
+            return static_hits
+        if spec.kind == "markov-oracle":
+            return markov_oracle_hits[spec.order]
+        if spec.kind == "lz-oracle":
+            return lz_oracle_hits
+        if spec.kind == "fsp-oracle":
+            return offline_fsp_hits(load_fsm(spec.path)[0], trace, c)[0]
+        if spec.kind == "lru":
+            return replay(LruPolicy(n, c), trace).cumulative_hits
+        if spec.kind == "fifo":
+            return replay(FifoPolicy(n, c), trace).cumulative_hits
+        raise ConfigError(f"policy {spec.label!r} is not deterministic")
 
     rows: list[ResultRow] = []
     for spec in cfg.policies:
-        for seed in cfg.seeds:
-            if spec.kind == "sage":
-                hits = replay(SagePolicy(n, c, eta_cfg, seed), trace).cumulative_hits
-                bound = bounds.static_regret_bound(horizon - static_hits, n, c)
-            elif spec.kind == "markov":
-                policy = MarkovSagePolicy(n, c, spec.order, eta_cfg, seed)
-                hits = replay(policy, trace).cumulative_hits
-                l_star = horizon - markov_oracle_hits[spec.order]
-                bound = bounds.markov_regret_bound(spec.order, l_star, n, c)
-            elif spec.kind == "lz":
-                hits = replay(LzSagePolicy(n, c, eta_cfg, seed), trace).cumulative_hits
-                bound = bounds.lz_regret_bound(0, tree_nodes, lz_oracle_misses, n, c)
-            else:
-                hits, bound = deterministic_hits(spec)
+        # The seeds of an online policy run in lockstep; the other policies
+        # are deterministic, so their one count repeats across the seeds.
+        learners = bound = None
+        if spec.kind == "sage":
+            learners = [SagePolicy(n, c, eta_cfg, seed) for seed in cfg.seeds]
+            bound = bounds.static_regret_bound(horizon - static_hits, n, c)
+        elif spec.kind == "markov":
+            learners = [MarkovSagePolicy(n, c, spec.order, eta_cfg, seed) for seed in cfg.seeds]
+            l_star = horizon - markov_oracle_hits[spec.order]
+            bound = bounds.markov_regret_bound(spec.order, l_star, n, c)
+        elif spec.kind == "lz":
+            learners = [LzSagePolicy(n, c, eta_cfg, seed) for seed in cfg.seeds]
+            bound = bounds.lz_regret_bound(0, tree_nodes, lz_oracle_misses, n, c)
+        if learners is not None:
+            seed_hits = [record.cumulative_hits for record in lockstep_replay(learners, trace)]
+        else:
+            seed_hits = [deterministic_hits(spec)] * len(cfg.seeds)
+        for seed, hits in zip(cfg.seeds, seed_hits):
             row = ResultRow(
                 policy=spec.label, order=spec.order, seed=seed, T=horizon,
                 n_files=n, cache_size=c, hits=hits, hit_rate=hits / horizon,

@@ -28,6 +28,11 @@ on count differences). The leave-one-out values take one of two paths:
   P_i[a] = e_a(w_1..w_i) and a rolling suffix row S_{i+1}[b] =
   e_b(w_{i+1}..w_N) give e_{C-1}(w_{-i}) = sum_a P_{i-1}[a] * S_{i+1}[C-1-a],
   a sum of nonnegative terms, so it is exact to rounding in O(N*C).
+
+The seeds of one per-state policy visit the same states with the same
+counts. `lockstep_replay` runs them on one machine walk, one marginal
+vector per distinct eta per round; each seed's lane draws one uniform and
+walks the shared Madow table. `MachineSagePolicy.step` is the one-lane case.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import DomainError, NumericError, ScaleGuardError, SplitMix64
+from .core import (DomainError, NumericError, RequestTrace, RunRecord, ScaleGuardError,
+                   SplitMix64)
 from .fsm import Window
 
 # Fallback once accumulated cancellation could push the absolute error of a
@@ -223,31 +229,50 @@ def madow_sample(p, u: float) -> list[int]:
     iff some offset i in {0..C-1} has P_{j-1} <= u + i < P_j. One uniform
     u in [0, 1) drives the whole sample.
     """
-    if not 0.0 <= u < 1.0:
-        raise DomainError(f"uniform draw {u} outside [0, 1)")
-    n = len(p)
-    cum = [0.0] * (n + 1)
+    cum, c = _madow_table(p)
+    selected: list[int] = []
+    _madow_walk(cum, c, u, -1, selected)
+    return selected
+
+
+def _madow_table(p) -> tuple[list[float], int]:
+    """Checked cumulative sums of p, entries clamped at 1, and their total C."""
+    cum = [0.0]
     acc = 0.0
-    for j, pj in enumerate(p):
+    for pj in p:
         if pj < -1e-12 or pj > 1.0 + 1e-9:
-            raise DomainError(f"inclusion probability p[{j}]={pj} outside [0, 1]")
+            raise DomainError(f"inclusion probability p[{len(cum) - 1}]={pj} outside [0, 1]")
         acc += pj if pj < 1.0 else 1.0
-        cum[j + 1] = acc
+        cum.append(acc)
     c = round(acc)
     if c < 1 or abs(acc - c) > _MARGINAL_SUM_TOL:
         raise DomainError(f"inclusion probabilities sum to {acc}, not a positive integer")
-    selected = []
+    return cum, c
+
+
+def _madow_walk(cum: list[float], c: int, u: float, x: int,
+                selected: list[int] | None = None) -> int:
+    """Walk a `_madow_table` for the draw u: each offset u, u + 1, ..,
+    u + C - 1 selects one index. Returns 1 if index x is selected, else 0,
+    and appends every selected index to `selected` when one is given (a
+    lane, which needs only its request's answer, builds no list)."""
+    if not 0.0 <= u < 1.0:
+        raise DomainError(f"uniform draw {u} outside [0, 1)")
+    hit = 0
     j = 0
-    last = n - 1
+    last = len(cum) - 2
     for i in range(c):
         if j > last:
             raise NumericError("systematic sampling walked past the last element")
         target = u + i
         while j < last and cum[j + 1] <= target:
             j += 1
-        selected.append(j)
+        if j == x:
+            hit = 1
+        if selected is not None:
+            selected.append(j)
         j += 1  # the next offset always lands strictly past this element
-    return selected
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +425,82 @@ class MachineSagePolicy:
         state = self.machine.current
         st = self.table.get(state)
         if st is None:
+            st = self._instance(state)
+        hits = bytearray()
+        _play_round(((self.rng, st),), request, hits, None)
+        self.machine.advance(request)
+        return hits[0]
+
+    def _instance(self, state) -> SageState:
+        """The SAGE instance of `state`, made on the state's first visit."""
+        st = self.table.get(state)
+        if st is None:
             st = SageState.fresh(self.n_files, self.cache_size, self.eta_config)
             self.table[state] = st
-        sel = madow_sample(st.marginals(), self.rng.next_float())
-        hit = 1 if request in sel else 0
-        st.update(request)
-        if not hit:
-            st.note_miss()
-        self.machine.advance(request)
-        return hit
+        return st
 
     @property
     def contexts_visited(self) -> int:
         return len(self.table)
+
+
+def _play_round(lanes, request: int, hits: bytearray, shared: dict | None) -> None:
+    """One round of each lane, a generator and its policy's instance for the
+    machine's current state: Madow-sample from one uniform, score, record,
+    and append the hit to `hits`. The lanes' instances hold equal counts, so
+    lanes with equal eta share one marginal vector and its Madow table
+    through `shared`, an empty dict each round; a single lane passes None.
+    """
+    for rng, st in lanes:
+        if shared is None:
+            cum, c = _madow_table(st.marginals())
+        else:
+            table = shared.get(st.eta)
+            if table is None:
+                table = shared[st.eta] = _madow_table(st.marginals())
+            cum, c = table
+        hit = _madow_walk(cum, c, rng.next_float(), request)
+        st.update(request)
+        if not hit:
+            st.note_miss()
+        hits.append(hit)
+
+
+def lockstep_replay(policies, trace: RequestTrace) -> list[RunRecord]:
+    """`[replay(p, trace) for p in policies]`, walking the machine once.
+
+    The policies must be distinct, fresh and built alike but for their seeds
+    and eta schedules: the same class, name, sizes and start state. Their state
+    visits and per-state counts then depend on the trace alone, so they all
+    walk the first policy's machine, which becomes every policy's `machine`,
+    and each round evaluates one marginal vector per distinct eta. Every
+    policy draws one uniform per round in the same order as under `replay`
+    and ends in the state `replay` leaves it in.
+    """
+    if not policies:
+        return []
+    first = policies[0]
+    alike = (type(first), first.name, first.n_files, first.cache_size, first.machine.current)
+    if len({id(p) for p in policies}) < len(policies) or any(
+            (type(p), p.name, p.n_files, p.cache_size, p.machine.current) != alike
+            or any(st.count_max for st in p.table.values()) for p in policies):
+        raise DomainError("lockstep replay needs distinct fresh policies built alike "
+                          "but for the seed")
+    machine = first.machine
+    for policy in policies:
+        policy.machine = machine
+    lanes_of: dict = {}  # state -> its lanes, one (generator, instance) per policy
+    hits = bytearray()  # round-major: the hits of round t are hits[t*k:(t+1)*k]
+    k = len(policies)
+    for x in trace.requests:
+        state = machine.current
+        lanes = lanes_of.get(state)
+        if lanes is None:
+            lanes = lanes_of[state] = [(p.rng, p._instance(state)) for p in policies]
+        _play_round(lanes, x, hits, {} if k > 1 else None)
+        machine.advance(x)
+    return [RunRecord(policy_name=policy.name, hits=bytes(hits[i::k]))
+            for i, policy in enumerate(policies)]
 
 
 class SagePolicy(MachineSagePolicy):

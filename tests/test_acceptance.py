@@ -12,8 +12,8 @@ import pytest
 
 from unicache import (EtaConfig, FifoPolicy, LruPolicy, LzSagePolicy, MarkovSagePolicy,
                       RequestTrace, SagePolicy, SageState, SplitMix64, fifo_fsp,
-                      generate_trace, hedge_bruteforce_marginals, hit_rate, lru_fsp,
-                      lz_regret_bound, madow_sample, markov_regret_bound,
+                      generate_trace, hedge_bruteforce_marginals, hit_rate, lockstep_replay,
+                      lru_fsp, lz_regret_bound, madow_sample, markov_regret_bound,
                       markov_vs_fsp_gap, miss_fraction_bound, offline_fsp_hits,
                       offline_lz_oracle, offline_markov_hit_rate, optimal_prefetcher,
                       parse_phrases, random_fsm, replay, simulate_fsp,
@@ -208,8 +208,8 @@ def test_acceptance_06_small_loss_regret():
             trace = RequestTrace(n, requests[:horizon])
             static_hits = offline_markov_hit_rate(trace, 0, c)[1]
             bound = static_regret_bound(horizon - static_hits, n, c)
-            regs = [static_hits - replay(SagePolicy(n, c, seed=s), trace).cumulative_hits
-                    for s in seeds]
+            records = lockstep_replay([SagePolicy(n, c, seed=s) for s in seeds], trace)
+            regs = [static_hits - r.cumulative_hits for r in records]
             means[horizon] = mean(regs)
             assert means[horizon] <= bound, (name, horizon, means[horizon], bound)
         if name.startswith("iid"):
@@ -241,8 +241,8 @@ def test_acceptance_07_zero_miss_order_one_regret():
         trace = build(horizon)
         rate, oracle_hits = offline_markov_hit_rate(trace, 1, c)
         assert oracle_hits == horizon  # zero-miss certificate for the oracle
-        regs = [oracle_hits - replay(MarkovSagePolicy(n, c, 1, seed=s), trace).cumulative_hits
-                for s in range(20)]
+        records = lockstep_replay([MarkovSagePolicy(n, c, 1, seed=s) for s in range(20)], trace)
+        regs = [oracle_hits - r.cumulative_hits for r in records]
         by_horizon[horizon] = mean(regs)
         assert by_horizon[horizon] <= bound, (horizon, by_horizon[horizon], bound)
     assert by_horizon[100_000] <= 2 * max(by_horizon[10_000], 1.0)
@@ -258,11 +258,13 @@ def synthetic_sweep():
     trace = generate_trace(spec, arrays, spec.initial_state, 100_000, seed=8)
     horizon = len(trace)
     seeds = range(20)
-    markov = {k: [replay(MarkovSagePolicy(3, 2, k, seed=s), trace).cumulative_hits / horizon
-                  for s in seeds] for k in range(9)}
-    lz = [replay(LzSagePolicy(3, 2, seed=s), trace).cumulative_hits / horizon for s in seeds]
-    sage = [replay(SagePolicy(3, 2, seed=s), trace).cumulative_hits / horizon
-            for s in seeds]
+
+    def rates(policies):
+        return [r.cumulative_hits / horizon for r in lockstep_replay(policies, trace)]
+
+    markov = {k: rates([MarkovSagePolicy(3, 2, k, seed=s) for s in seeds]) for k in range(9)}
+    lz = rates([LzSagePolicy(3, 2, seed=s) for s in seeds])
+    sage = rates([SagePolicy(3, 2, seed=s) for s in seeds])
     return horizon, markov, lz, sage
 
 
@@ -322,10 +324,9 @@ def test_acceptance_09_parse_correctness_and_lz_regret():
         n, c = trace.n_files, 1
         lz_misses = offline_lz_oracle(trace, c)[0]
         c_t = parse_phrases(trace)[1].node_count
-        hits = []
-        for s in range(20):
-            policy = LzSagePolicy(n, c, seed=s)
-            hits.append(replay(policy, trace).cumulative_hits)
+        policies = [LzSagePolicy(n, c, seed=s) for s in range(20)]
+        hits = [r.cumulative_hits for r in lockstep_replay(policies, trace)]
+        for policy in policies:
             assert policy.machine.node_count == c_t  # the policy walks the same parse
         mh, se = mean(hits), _se(hits)
         for k in (0, 1, 2):

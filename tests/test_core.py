@@ -86,6 +86,9 @@ def test_splitmix64_float_range():
     draws = [rng.next_float() for _ in range(2000)]
     assert all(0.0 <= u < 1.0 for u in draws)
     assert 0.4 < sum(draws) / len(draws) < 0.6
+    # next_float is the top 53 bits of the next output word, draw for draw
+    twin = SplitMix64(7)
+    assert draws == [(twin.next_u64() >> 11) * 2.0**-53 for _ in range(2000)]
 
 
 def test_splitmix64_next_below():

@@ -6,17 +6,16 @@ purpose re-pins them once and says why.
 """
 
 import hashlib
-from bisect import bisect_right
-from itertools import accumulate
 
 import pytest
 
 from unicache import (CacheSet, EtaConfig, ExperimentConfig, LzSagePolicy,
-                      MarkovSagePolicy, Prefetcher, RequestTrace, SagePolicy, SplitMix64,
+                      MarkovSagePolicy, Prefetcher, SagePolicy,
                       generate_trace, parse_phrases, random_fsm, replay, run_experiment,
                       save_fsm, to_csv)
 from unicache import sage as sage_mod
 from unicache.harness import parse_policy_spec
+from util import zipf_trace
 
 ROUNDS = 20_000
 SEEDS = (0, 1, 2)
@@ -96,14 +95,6 @@ def test_readme_csv_is_pinned(readme_trace):
     assert _sha([csv_text.encode("ascii")]) == README_CSV_DIGEST
 
 
-def _zipf_trace(n_files: int, exponent: float, rounds: int, seed: int) -> RequestTrace:
-    """Independent Zipf draws: file r with probability proportional to (r + 1)^-exponent."""
-    rng = SplitMix64(seed)
-    cum = list(accumulate((r + 1) ** -exponent for r in range(n_files)))
-    return RequestTrace(n_files, [min(bisect_right(cum, rng.next_float() * cum[-1]), n_files - 1)
-                                  for _ in range(rounds)])
-
-
 def test_skewed_hit_sequence_is_pinned(monkeypatch):
     # Counts spread far enough that the plain-double evaluator gives up and
     # the scaled marginal path decides the late rounds.
@@ -115,7 +106,7 @@ def test_skewed_hit_sequence_is_pinned(monkeypatch):
         return scaled(pairs, cache_size)
 
     monkeypatch.setattr(sage_mod, "_marginals_scaled", counting)
-    trace = _zipf_trace(64, 1.5, 1_400, seed=0)
+    trace = zipf_trace(64, 1.5, 1_400, seed=0)
     hits = replay(SagePolicy(64, 6, EtaConfig(mode="fixed", eta=0.3), seed=0), trace).hits
     assert len(scaled_calls) >= 100
     assert _sha([hits]) == ZIPF_HIT_DIGEST

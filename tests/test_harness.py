@@ -66,6 +66,16 @@ def test_parse_config_errors(tmp_path):
         body = "[trace]\n" + "".join(f"{k}={v}\n" for k, v in sizes.items())
         with pytest.raises(ConfigError, match=rf"\[trace\] {key}: must be a positive integer"):
             _write_config(tmp_path / f"{key}0.ini", body + "[run]\ncache_size=2\npolicies=sage\n")
+    gen = "[trace]\nstates=2\nfiles=3\nrounds=10\n"
+    for set_size in (0, 4):
+        with pytest.raises(ConfigError, match=r"\[trace\] set_size: must lie in \[1, 3\]"):
+            _write_config(tmp_path / f"set{set_size}.ini", gen + f"set_size={set_size}\n"
+                          "[run]\ncache_size=2\npolicies=sage\n")
+    with pytest.raises(ConfigError, match=r"\[run\] cache_size 4 exceeds \[trace\] files 3"):
+        _write_config(tmp_path / "cache4.ini", gen + "[run]\ncache_size=4\npolicies=sage\n")
+    with pytest.raises(ConfigError, match=r"\[run\] horizon_hint: must be a positive integer"):
+        _write_config(tmp_path / "h0.ini",
+                      gen + "[run]\ncache_size=2\npolicies=sage\nhorizon_hint=0\n")
 
 
 def test_run_worked_example_oracle_row(tmp_path):
@@ -314,6 +324,15 @@ seeds = 0
     r = _cli("run", "--config", "rounds0.ini", cwd=tmp_path)
     assert r.returncode == 2, r.stderr
     assert "[trace] rounds" in r.stderr, r.stderr
+    for name, text, key in (
+            ("set0.ini", gen + "set_size = 0\n[run]\ncache_size = 2\npolicies = sage\n",
+             "[trace] set_size"),
+            ("h0.ini", gen + "[run]\ncache_size = 2\npolicies = sage\nhorizon_hint = 0\n",
+             "[run] horizon_hint")):
+        (tmp_path / name).write_text(text)
+        r = _cli("run", "--config", name, cwd=tmp_path)
+        assert r.returncode == 2, (name, r.stderr)
+        assert key in r.stderr, r.stderr
     r = _cli("bounds", "--files", "3", "--cache", "2", "--states", "50",
              "--rounds", "1000", "--max-order", "2", cwd=tmp_path)
     assert r.returncode == 0, r.stderr

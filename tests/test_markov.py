@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicache import (DomainError, EtaConfig, MarkovSagePolicy, RequestTrace, SagePolicy,
-                      Window, offline_markov_hit_rate, replay)
+                      Window, lockstep_replay, offline_markov_hit_rate, replay)
 from util import random_trace
 
 
@@ -128,12 +128,9 @@ def test_per_context_regret_bound():
     horizon = len(trace)
     for k in (1, 2):
         oracle_hits = offline_markov_hit_rate(trace, k, 2)[1]
-        regrets = []
-        contexts = None
-        for seed in range(20):
-            policy = MarkovSagePolicy(4, 2, k=k, seed=seed)
-            rec = replay(policy, trace)
-            regrets.append(oracle_hits - rec.cumulative_hits)
-            contexts = policy.contexts_visited
+        policies = [MarkovSagePolicy(4, 2, k=k, seed=seed) for seed in range(20)]
+        regrets = [oracle_hits - rec.cumulative_hits
+                   for rec in lockstep_replay(policies, trace)]
+        contexts = policies[-1].contexts_visited
         bound = fsm_regret_bound(contexts, horizon - oracle_hits, 4, 2)
         assert mean(regrets) <= bound, (k, mean(regrets), bound)

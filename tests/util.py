@@ -1,11 +1,22 @@
 """Shared test helpers."""
 
+from bisect import bisect_right
+from itertools import accumulate
+
 from unicache import FsmSpec, RequestTrace, SplitMix64
 
 
 def random_trace(n_files: int, length: int, seed: int) -> RequestTrace:
     rng = SplitMix64(seed)
     return RequestTrace(n_files, [rng.next_below(n_files) for _ in range(length)])
+
+
+def zipf_trace(n_files: int, exponent: float, rounds: int, seed: int) -> RequestTrace:
+    """Independent Zipf draws: file r with probability proportional to (r + 1)^-exponent."""
+    rng = SplitMix64(seed)
+    cum = list(accumulate((r + 1) ** -exponent for r in range(n_files)))
+    return RequestTrace(n_files, [min(bisect_right(cum, rng.next_float() * cum[-1]), n_files - 1)
+                                  for _ in range(rounds)])
 
 
 def worked_example():
