@@ -170,6 +170,15 @@ def test_step_is_the_one_lane_case(readme_trace, label):
     assert alone[0].hits == hits
 
 
+def test_lanes_may_differ_in_eta_schedule(readme_trace):
+    trace = RequestTrace(_FILES, readme_trace.requests[:4_000])
+    etas = (EtaConfig(mode="fixed", eta=0.1), EtaConfig(mode="fixed", eta=0.3), _eta("doubling"))
+    expect = [replay(_make("markov:1", eta, seed), trace).hits for seed, eta in enumerate(etas)]
+    records = lockstep_replay([_make("markov:1", eta, seed) for seed, eta in enumerate(etas)],
+                              trace)
+    assert [r.hits for r in records] == expect
+
+
 def test_lanes_share_one_vector_per_eta(readme_trace, monkeypatch):
     calls = []
     marginals = SageState.marginals
