@@ -20,8 +20,8 @@ from .fsm import (FifoPolicy, FsmRunner, FsmSpec, LruPolicy, Prefetcher, VisitCo
                   Window, fifo_fsp, load_fsm, lru_fsp, offline_fsp_hits,
                   optimal_prefetcher, save_fsm, simulate_fsp, state_file_counts,
                   top_c_hits, visit_counts)
-from .sage import (EtaConfig, MachineSagePolicy, SagePolicy, SageState,
-                   hedge_bruteforce_marginals, lockstep_replay, madow_sample)
+from .sage import (EtaConfig, MachineSagePolicy, SagePolicy, SageState, lockstep_replay,
+                   madow_sample)
 from .markov import MarkovSagePolicy, offline_markov_hit_rate
 from .lz import (LzSagePolicy, LzTree, depth_split_counts, dump_tree, offline_lz_oracle,
                  parse_phrases)

@@ -147,16 +147,17 @@ class RunRecord:
     cumulative_hits: int = field(default=-1)
 
     def __post_init__(self):
+        if self.hits.translate(None, b"\x00\x01"):
+            raise DomainError("hit entries must be 0 or 1")
+        total = self.hits.count(1)
         if self.T < 0:
             self.T = len(self.hits)
         if self.cumulative_hits < 0:
-            self.cumulative_hits = sum(self.hits)
+            self.cumulative_hits = total
         if self.T != len(self.hits):
             raise DomainError(f"declared {self.T} rounds but {len(self.hits)} hit entries")
-        if self.cumulative_hits != sum(self.hits):
+        if self.cumulative_hits != total:
             raise DomainError("cumulative_hits disagrees with the hit sequence")
-        if any(h not in (0, 1) for h in self.hits):
-            raise DomainError("hit entries must be 0 or 1")
 
 
 def score_round(cache: CacheSet, request: int) -> int:

@@ -13,21 +13,31 @@ all k-subsets of the product of their weights. A set of exactly C files
 with those marginals is then drawn by Madow's systematic sampling, which
 needs a single uniform draw.
 
-ESPs are evaluated by the dynamic-programming recurrence
-E[j][k] = E[j-1][k] + w_j * E[j-1][k-1], O(N*C). All terms are
-nonnegative, so the forward pass is numerically benign. Weights are
-always normalized to max(w) = 1 before evaluation (marginals depend only
-on count differences). The leave-one-out values take one of two paths:
+One evaluator computes the marginals, at order m = min(C, N - C):
 
-- plain doubles, the cheap path at small N: the deletion recurrence
-  f_k = e_k - w_i * f_{k-1}, which can cancel catastrophically, guarded by
-  an error-amplification bound. Each file whose guard trips gets a fresh
-  O(N*C) DP without it, so a call costs O(N*C) plus O(N*C) per cancelling
-  file, O(N^2*C) in the worst case, where most files cancel;
-- mantissa/exponent pairs, once e_C leaves the double range: prefix rows
-  P_i[a] = e_a(w_1..w_i) and a rolling suffix row S_{i+1}[b] =
-  e_b(w_{i+1}..w_N) give e_{C-1}(w_{-i}) = sum_a P_{i-1}[a] * S_{i+1}[C-1-a],
-  a sum of nonnegative terms, so it is exact to rounding in O(N*C).
+- complement duality: a C-subset S has mass prod_{i in S} w(i) =
+  prod_all w * prod_{j not in S} 1/w(j), so p(i) = 1 - q(i) with q the
+  order-(N - C) marginals of the weights 1/w (Chen, Dempster & Liu 1994;
+  Tille 2006, ch. 5). Past C = N/2 the evaluator runs this side;
+- peel: 1 - p(i) <= (N - m) * w_(m+1) / w(i), w_(m+1) the (m+1)-th
+  largest weight, so files where that bound is below e**-42 get p = 1
+  and the rest run at a lower order;
+- rescale: marginals are homogeneous of degree 0 in w, so the weights are
+  built in the log domain around the mean count of the top m weights. The
+  largest order-m product is then 1 and 1 <= e_m <= (N choose m), where
+  max-normalised weights would underflow;
+- prefix/suffix tables: column a of the prefix table is e_a of the first
+  j weights, a running sum of w times column a - 1 (the forward DP); the
+  suffix table is built the same way from the back. Then
+  e_{m-1}(w without i) = sum_a P_{i-1}[a] * S_{i+1}[m-1-a] adds
+  nonnegative terms only: exact to rounding in O(N*m). At m = 1 that is
+  e_0 = 1 and there are no tables: at the README setting (N=3, C=2),
+  p(i) = 1 - v(i) / sum(v) with v = 1/w.
+
+The tables run in plain doubles while every e_a(w), a <= m, stays at most
+2**900. A top group spread in two clusters can pass that bound (only at
+m >= 55 after the peel); those calls run the same tables on
+mantissa/exponent pairs.
 
 The seeds of one per-state policy visit the same states with the same
 counts. `lockstep_replay` runs them on one machine walk, one marginal
@@ -39,19 +49,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import accumulate
+from operator import add, mul
 
-from .core import (DomainError, NumericError, RequestTrace, RunRecord, ScaleGuardError,
-                   SplitMix64)
+from .core import DomainError, NumericError, RequestTrace, RunRecord, SplitMix64
 from .fsm import Window
 
-# Fallback once accumulated cancellation could push the absolute error of a
-# marginal past ~1e-11 (C * eps * amplification); the fallback recomputation
-# is a fresh all-positive DP and is exact to rounding.
-_LOO_AMP_MAX = 1e5
+# Below this bound on every e_a(w), a <= m, nothing overflows, e_m >= 1, and
+# an underflow moves a marginal by at most 2**-1075 * _PLAIN_MAX = 2**-175.
+_PLAIN_MAX = 2.0 ** 900
 
-# Plain-double ESP results below this are recomputed in scaled arithmetic.
-_PLAIN_FLOOR = 1e-280
+# A file whose marginal is 1 to within e**-42 (~6e-19) is peeled off.
+_PEEL_NATS = 42.0
 
 _MARGINAL_SUM_TOL = 1e-9
 
@@ -68,6 +78,28 @@ def _log_to_pair(log_weight: float) -> tuple[float, int]:
 
 
 _LOG2E = 1.0 / math.log(2.0)
+
+
+def _esp_loo_plain(w: list[float], order: int):
+    """e_order(w) and e_{order-1}(w without i) for each i, in plain doubles
+    (see the module docstring); None once some e_a(w) passes `_PLAIN_MAX`."""
+    col = [1.0] * len(w)
+    prefix = [col]
+    for _ in range(order - 1):
+        col = list(accumulate(map(mul, w, col), initial=0.0))
+        if not col.pop() <= _PLAIN_MAX:  # the running sum ends at e_a(w)
+            return None
+        prefix.append(col)
+    top = reduce(add, map(mul, w, col))  # e_order(w)
+    if not top <= _PLAIN_MAX:
+        return None
+    loo = col
+    suffix = prefix[0]
+    for b in range(1, order):
+        suffix = list(accumulate(map(mul, reversed(w), suffix), initial=0.0))
+        suffix.pop()
+        loo = list(map(add, loo, map(mul, prefix[order - 1 - b], reversed(suffix))))
+    return top, loo
 
 
 def _esp_push(m: list[float], x: list[int], wm: float, wx: int, top: int) -> None:
@@ -139,72 +171,21 @@ def _esp_loo_scaled(pairs, order: int):
 # Marginal inclusion probabilities
 
 
-def _finish_marginals(p: list[float], cache_size: int) -> list[float] | None:
+def _finish_marginals(p: list[float], cache_size: int) -> list[float]:
     s = math.fsum(p)
-    if abs(s - cache_size) > _MARGINAL_SUM_TOL:
-        return None
-    scale = cache_size / s
-    for i, v in enumerate(p):
-        v *= scale
-        p[i] = 1.0 if v > 1.0 else (0.0 if v < 0.0 else v)
+    if not abs(s - cache_size) <= _MARGINAL_SUM_TOL:
+        raise NumericError("marginals failed to normalize to the cache size")
+    if s != cache_size:
+        p = list(map((cache_size / s).__mul__, p))
+    if min(p) < 0.0 or max(p) > 1.0:
+        p = [1.0 if v > 1.0 else (0.0 if v < 0.0 else v) for v in p]
     return p
 
 
-def _marginals_fast(w: list[float], cache_size: int) -> list[float] | None:
-    """Plain-double path; returns None when scaled arithmetic is needed."""
-    n = len(w)
-    order = cache_size
-    e = [0.0] * (order + 1)
-    e[0] = 1.0
-    filled = 0
-    for wj in w:
-        filled += 1
-        top = order if order < filled else filled
-        for k in range(top, 0, -1):
-            e[k] += wj * e[k - 1]
-    ec = e[order]
-    if not (ec > _PLAIN_FLOOR) or ec == math.inf:
-        return None
-    p = [0.0] * n
-    for i in range(n):
-        wi = w[i]
-        f = 1.0
-        amp = 1.0
-        bad = False
-        for k in range(1, order):
-            sub = wi * f
-            t = e[k] - sub
-            if t <= 0.0:
-                bad = True
-                break
-            step_amp = (e[k] + sub) / t
-            if step_amp > 1.0:
-                amp *= step_amp
-                if amp > _LOO_AMP_MAX:
-                    bad = True
-                    break
-            f = t
-        if bad:
-            g = [0.0] * order
-            g[0] = 1.0
-            filled = 0
-            for j in range(n):
-                if j == i:
-                    continue
-                wj = w[j]
-                filled += 1
-                top = order - 1 if order - 1 < filled else filled
-                for k in range(top, 0, -1):
-                    g[k] += wj * g[k - 1]
-            f = g[order - 1]
-        p[i] = wi * f / ec
-    return _finish_marginals(p, cache_size)
-
-
-def _marginals_scaled(pairs, cache_size: int) -> list[float]:
-    """Scaled path: leave-one-out ESPs from prefix/suffix tables, O(N*C)."""
-    m, x, loo = _esp_loo_scaled(pairs, cache_size - 1)
-    em, ex = m[cache_size], x[cache_size]
+def _marginals_scaled(pairs, order: int) -> list[float]:
+    """Order-`order` marginals of mantissa/exponent weights, unnormalized."""
+    m, x, loo = _esp_loo_scaled(pairs, order - 1)
+    em, ex = m[order], x[order]
     if em == 0.0:
         raise NumericError("all order-C weight products vanished; marginals undefined")
     ldexp = math.ldexp
@@ -212,10 +193,43 @@ def _marginals_scaled(pairs, cache_size: int) -> list[float]:
     for i, ((wm, wx), (fm, fx)) in enumerate(zip(pairs, loo)):
         if wm != 0.0 and fm != 0.0:
             p[i] = ldexp(wm * fm / em, wx + fx - ex)  # underflows to 0.0, never raises
-    out = _finish_marginals(p, cache_size)
-    if out is None:
-        raise NumericError("marginals failed to normalize to the cache size")
-    return out
+    return p
+
+
+def _hedge_marginals(counts, eta: float, order: int) -> list[float]:
+    """Hedge marginals of the files, unnormalized, from one side at `order`.
+
+    eta > 0 gives the order-`order` marginals q of the weights
+    w = exp(eta * count); eta < 0 gives 1 - q for the weights 1/w, the
+    complement side. Files past the peel bound get q = 1 and the rest run
+    at the lower order; the reduced problem has the same bound, so there is
+    one peel at most. No log weight around the mean count of the top
+    `order` weights then exceeds the bound, so exp cannot overflow.
+    """
+    n = len(counts)
+    if order == 0:
+        return [0.0 if eta > 0 else 1.0] * n
+    ranked = sorted(counts, reverse=eta > 0)
+    bar = ranked[order]
+    cut = math.log(n - order) + _PEEL_NATS
+    if eta * (ranked[0] - bar) > cut:
+        kept = [i for i, x in enumerate(counts) if eta * (x - bar) <= cut]
+        p = [1.0 if eta > 0 else 0.0] * n
+        sub = _hedge_marginals([counts[i] for i in kept], eta, order - (n - len(kept)))
+        for i, v in zip(kept, sub):
+            p[i] = v
+        return p
+    ref = sum(ranked[:order]) / order
+    exp = math.exp
+    w = [exp(eta * (x - ref)) for x in counts]
+    esp = _esp_loo_plain(w, order)
+    if esp is None:
+        q = _marginals_scaled([_log_to_pair(eta * (x - ref)) for x in counts], order)
+        return q if eta > 0 else [1.0 - v for v in q]
+    e, loo = esp
+    if eta > 0:
+        return [wi * f / e for wi, f in zip(w, loo)]
+    return [1.0 - wi * f / e for wi, f in zip(w, loo)]
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +278,8 @@ def _madow_walk(cum: list[float], c: int, u: float, x: int,
     for i in range(c):
         if j > last:
             raise NumericError("systematic sampling walked past the last element")
-        target = u + i
-        while j < last and cum[j + 1] <= target:
+        # cum[j + 1] - i is exact (Sterbenz) where it matters; u + i would round
+        while j < last and cum[j + 1] - i <= u:
             j += 1
         if j == x:
             hit = 1
@@ -352,16 +366,11 @@ class SageState:
         return [exp(eta * (c - cmax)) for c in self.counts]
 
     def marginals(self) -> list[float]:
-        p = _marginals_fast(self.weights(), self.cache_size)
-        if p is None:
-            # Rebuild the weights from the log domain so that counts far from
-            # the maximum survive as mantissa/exponent pairs instead of
-            # underflowing inside exp().
-            eta = self.eta
-            cmax = self.count_max
-            pairs = [_log_to_pair(eta * (c - cmax)) for c in self.counts]
-            p = _marginals_scaled(pairs, self.cache_size)
-        return p
+        """Hedge marginals at order min(C, N - C); see the module docstring."""
+        n, c = self.n_files, self.cache_size
+        if 2 * c > n:  # the complement side, weights 1/w at order N - C
+            return _finish_marginals(_hedge_marginals(self.counts, -self.eta, n - c), c)
+        return _finish_marginals(_hedge_marginals(self.counts, self.eta, c), c)
 
     def update(self, request: int) -> None:
         c = self.counts[request] + 1
@@ -374,30 +383,6 @@ class SageState:
         if self.eta_mode == "doubling" and self.misses >= self._miss_mark:
             self.eta *= 0.7071067811865476  # 1/sqrt(2) per miss doubling
             self._miss_mark *= 2
-
-
-def hedge_bruteforce_marginals(counts, eta: float, n_files: int, cache_size: int) -> list[float]:
-    """Test oracle: enumerate all (N choose C) subset-experts explicitly.
-
-    Each subset S carries mass proportional to exp(eta * sum of counts in S);
-    the marginal of file i is the mass fraction of subsets containing i.
-    Only usable at small scale.
-    """
-    if len(counts) != n_files:
-        raise DomainError(f"expected {n_files} counts, got {len(counts)}")
-    if not 1 <= cache_size <= n_files:
-        raise DomainError(f"cache size {cache_size} outside [1, {n_files}]")
-    if math.comb(n_files, cache_size) > 10**6:
-        raise ScaleGuardError("brute-force expert enumeration capped at 1e6 subsets")
-    best = sum(sorted(counts, reverse=True)[:cache_size])
-    total = 0.0
-    acc = [0.0] * n_files
-    for subset in combinations(range(n_files), cache_size):
-        mass = math.exp(eta * (sum(counts[i] for i in subset) - best))
-        total += mass
-        for i in subset:
-            acc[i] += mass
-    return [a / total for a in acc]
 
 
 class MachineSagePolicy:

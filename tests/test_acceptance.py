@@ -12,13 +12,13 @@ import pytest
 
 from unicache import (EtaConfig, FifoPolicy, LruPolicy, LzSagePolicy, MarkovSagePolicy,
                       RequestTrace, SagePolicy, SageState, SplitMix64, fifo_fsp,
-                      generate_trace, hedge_bruteforce_marginals, hit_rate, lockstep_replay,
+                      generate_trace, hit_rate, lockstep_replay,
                       lru_fsp, lz_regret_bound, madow_sample, markov_regret_bound,
                       markov_vs_fsp_gap, miss_fraction_bound, offline_fsp_hits,
                       offline_lz_oracle, offline_markov_hit_rate, optimal_prefetcher,
                       parse_phrases, random_fsm, replay, simulate_fsp,
                       static_regret_bound, visit_counts)
-from util import worked_example
+from util import hedge_bruteforce_marginals, worked_example
 
 
 def _announce(num, description):

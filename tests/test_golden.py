@@ -10,7 +10,7 @@ import hashlib
 import pytest
 
 from unicache import (CacheSet, EtaConfig, ExperimentConfig, LzSagePolicy,
-                      MarkovSagePolicy, Prefetcher, SagePolicy,
+                      MarkovSagePolicy, Prefetcher, RequestTrace, SagePolicy,
                       generate_trace, parse_phrases, random_fsm, replay, run_experiment,
                       save_fsm, to_csv)
 from unicache import sage as sage_mod
@@ -45,6 +45,9 @@ HIT_DIGESTS = {
 }
 README_CSV_DIGEST = "77fd25706d9e64cc7fadfef1492614134aab1788aa1df22de39b06e19e681509"
 ZIPF_HIT_DIGEST = "c28b4ee2fcc31eb0f6184452f179aecf0c4ff755e572b58b8a045f6f4ef0db2e"
+# 30 hot files of 120 requested in turn, C=60; the same digest as the
+# evaluator that came before the rescaled tables and the peel.
+SPLIT_HIT_DIGEST = "a39f04eed013dc722eb7d4859d6b8cde5ed3647015202fe381c19558b4afb9d8"
 
 # Oracle-replay shape: Q=500 states, N=16 files, C=4; the fsp-oracle scores
 # the generating machine, so it must hit every round.
@@ -96,20 +99,27 @@ def test_readme_csv_is_pinned(readme_trace):
 
 
 def test_skewed_hit_sequence_is_pinned(monkeypatch):
-    # Counts spread far enough that the plain-double evaluator gives up and
-    # the scaled marginal path decides the late rounds.
+    # Zipf counts spread far enough that max-normalised weights leave the
+    # double range; the rescaled plain tables, with the top file peeled once
+    # it is certain, decide every round.
     scaled_calls = []
     scaled = sage_mod._marginals_scaled
 
-    def counting(pairs, cache_size):
+    def counting(pairs, order):
         scaled_calls.append(1)
-        return scaled(pairs, cache_size)
+        return scaled(pairs, order)
 
     monkeypatch.setattr(sage_mod, "_marginals_scaled", counting)
     trace = zipf_trace(64, 1.5, 1_400, seed=0)
     hits = replay(SagePolicy(64, 6, EtaConfig(mode="fixed", eta=0.3), seed=0), trace).hits
-    assert len(scaled_calls) >= 100
+    assert not scaled_calls
     assert _sha([hits]) == ZIPF_HIT_DIGEST
+    # A top group of 60 split into two clusters 42-46 nats apart (too close
+    # to peel) drives e_30 past 2**900: the pairs tables decide those rounds.
+    trace = RequestTrace(120, [i % 30 for i in range(1_400)])
+    hits = replay(SagePolicy(120, 60, EtaConfig(mode="fixed", eta=1.0), seed=0), trace).hits
+    assert len(scaled_calls) >= 100
+    assert _sha([hits]) == SPLIT_HIT_DIGEST
 
 
 def test_oracle_hits_are_pinned(tmp_path):

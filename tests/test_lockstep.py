@@ -13,7 +13,6 @@ from unicache import (DomainError, EtaConfig, LzSagePolicy, MarkovSagePolicy, Re
                       SagePolicy, SageState, generate_trace, lockstep_replay, madow_sample,
                       random_fsm, replay)
 from unicache import sage as sage_mod
-from util import zipf_trace
 
 # The golden README trace: Q=50 states, N=3 files, C=2, T=2e4.
 ROUNDS = 20_000
@@ -115,6 +114,10 @@ def test_membership_walk_edges():
         assert 1.0 + u >= cum[-1]
         assert madow_sample(p, u) == [1, 2]
         _same_answer(p, u)
+    # u + 1 would round to 2.0 here; the walk compares cum[j + 1] - 1 < u
+    for p in ([1.0, 1.0, 1.0], [1.0, 1.0, 0.0]):
+        _same_answer(p, 1.0 - 2.0 ** -53)
+        assert _member(p, 1.0 - 2.0 ** -53, 1)
     # out-of-range draws and vectors fail the same way
     _same_answer([0.5, 0.5], 1.0)
     _same_answer([0.5, 0.6], 0.1)
@@ -145,18 +148,20 @@ def test_lockstep_matches_replay(readme_trace, label, mode):
 
 
 def test_lockstep_on_the_scaled_path(monkeypatch):
+    # The split top group of `test_golden.py`: the pairs tables decide ~10%
+    # of the rounds.
     scaled_calls = []
     scaled = sage_mod._marginals_scaled
 
-    def counting(pairs, cache_size):
+    def counting(pairs, order):
         scaled_calls.append(1)
-        return scaled(pairs, cache_size)
+        return scaled(pairs, order)
 
-    trace = zipf_trace(64, 1.5, 1_400, seed=0)
-    eta = EtaConfig(mode="fixed", eta=0.3)
-    expect = replay(SagePolicy(64, 6, eta, seed=0), trace).hits
+    trace = RequestTrace(120, [i % 30 for i in range(1_400)])
+    eta = EtaConfig(mode="fixed", eta=1.0)
+    expect = replay(SagePolicy(120, 60, eta, seed=0), trace).hits
     monkeypatch.setattr(sage_mod, "_marginals_scaled", counting)
-    assert lockstep_replay([SagePolicy(64, 6, eta, seed=0)], trace)[0].hits == expect
+    assert lockstep_replay([SagePolicy(120, 60, eta, seed=0)], trace)[0].hits == expect
     assert len(scaled_calls) >= 100
 
 

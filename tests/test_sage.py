@@ -5,23 +5,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicache import (DomainError, EtaConfig, NumericError, RequestTrace, SagePolicy,
-                      SageState, ScaleGuardError, SplitMix64, hedge_bruteforce_marginals,
-                      madow_sample)
+                      SageState, ScaleGuardError, SplitMix64, madow_sample)
 from unicache import sage as sage_mod
+from util import hedge_bruteforce_marginals, zipf_trace
 
 # ---------------------------------------------------------------------------
-# elementary symmetric polynomials, through both marginal paths
+# elementary symmetric polynomials, through both tables
 #
-# p(i) = w(i) * e_{C-1}(w_{-i}) / e_C(w): the plain path evaluates the ESPs
-# in doubles with a guarded deletion recurrence, the scaled path in
-# mantissa/exponent prefix/suffix tables.
+# p(i) = w(i) * e_{m-1}(w_{-i}) / e_m(w): the prefix/suffix tables add
+# nonnegative terms only, in plain doubles or in mantissa/exponent pairs.
 
 
 def _both_paths(weights, c):
-    """Marginals of the given weights (max 1) from the plain and the scaled path."""
-    fast = sage_mod._marginals_fast(list(weights), c)
-    assert fast is not None
-    return fast, sage_mod._marginals_scaled([math.frexp(w) for w in weights], c)
+    """Marginals of the given weights from the plain and the pairs tables."""
+    esp = sage_mod._esp_loo_plain(list(weights), c)
+    assert esp is not None
+    e, loo = esp
+    plain = [w * f / e for w, f in zip(weights, loo)]
+    scaled = sage_mod._marginals_scaled([math.frexp(w) for w in weights], c)
+    return sage_mod._finish_marginals(plain, c), sage_mod._finish_marginals(scaled, c)
 
 
 def _max_error(got, expect):
@@ -39,16 +41,20 @@ def test_esp_all_examples():
 
 
 def test_esp_all_errors():
-    # e_C past the double range either way: the plain path declines
-    assert sage_mod._marginals_fast([1.0] * 5, 3) is not None
-    assert sage_mod._marginals_fast([1e300] * 5, 3) is None  # ~ C(5,3) * 1e900
-    assert sage_mod._marginals_fast([1e-100] * 5, 3) is None  # below the plain floor
+    # the plain tables decline once some e_a(w), a <= C, passes 2**900
+    assert sage_mod._esp_loo_plain([1.0] * 5, 3) is not None
+    assert sage_mod._esp_loo_plain([2.0 ** 290] * 5, 3) is not None  # e_3 = 10 * 2**870
+    assert sage_mod._esp_loo_plain([2.0 ** 300] * 5, 3) is None  # e_3 = 10 * 2**900
+    assert sage_mod._esp_loo_plain([1e300] * 5, 3) is None  # e_1 = 5e300 already
+    assert sage_mod._esp_loo_plain([math.inf, 1.0], 1) is None
     for w in (1e300, 1e-100):
         p = sage_mod._marginals_scaled([math.frexp(w)] * 5, 3)
         assert p == pytest.approx([0.6] * 5, abs=1e-15)
     # no order-C product is nonzero: marginals are undefined
     with pytest.raises(NumericError):
         sage_mod._marginals_scaled([(0.5, 1), (0.0, 0), (0.0, 0)], 2)
+    with pytest.raises(NumericError):
+        sage_mod._finish_marginals([0.5, 0.2], 1)
     with pytest.raises(DomainError):
         SageState(2, 3, eta=1.0)
 
@@ -90,9 +96,9 @@ def test_leave_one_out_matches_direct_deletion(weights, c):
 
 def test_leave_one_out_cancellation_fallback():
     # Deleting the dominant weight leaves e_2 of the rest, about 1e7 times
-    # smaller than the terms the deletion recurrence subtracts, so the plain
-    # path must recompute file 0 (the recurrence alone is off by ~8e-3
-    # there); the scaled tables never subtract.
+    # smaller than the terms a deletion recurrence f_k = e_k - w_i f_{k-1}
+    # would subtract (that recurrence is off by ~8e-3 for file 0); the
+    # prefix/suffix tables never subtract.
     w = [1.0, 4e-8, 3e-8, 3.5e-8]
     expect = _exact_marginals([math.frexp(v) for v in w], 3)
     for p in _both_paths(w, 3):
@@ -139,7 +145,9 @@ def test_marginals_heavy_concentration():
     assert st_.marginals()[0] >= 1 - 1e-6
 
 
-def test_marginals_degenerate_counts_use_scaled_path():
+def test_marginals_degenerate_counts():
+    # the complement weights exp(counts_min - counts) of files 0 and 1
+    # underflow to 0, so they are in every cache
     st_ = SageState(3, 2, eta=1.0)
     st_.counts = [3000, 1000, 0]
     st_.count_max = 3000
@@ -172,8 +180,8 @@ def test_marginals_match_bruteforce_hedge(n, c, count_seed, eta):
 
 
 def test_marginals_extreme_eta_match_high_precision_enumeration():
-    # 80-digit decimal enumeration of all subset-experts; exercises the
-    # scaled mantissa/exponent path where double exp() underflows entirely
+    # 80-digit decimal enumeration of all subset-experts; the weights of
+    # files 2-4 underflow to 0 in double exp() even after the rescale
     from decimal import Decimal, getcontext
     from itertools import combinations as combos
 
@@ -265,39 +273,112 @@ def _exact_marginals(pairs, c):
     return out
 
 
-@pytest.mark.parametrize("n,c,rounds", [(64, 6, 1_400), (300, 20, 6_000), (1000, 50, 20_000)])
-def test_scaled_marginals_match_exact_reference(n, c, rounds):
-    # Zipf counts at eta 0.3 push e_C below the plain-double floor, so the
-    # mantissa/exponent path is the one that runs.
+def _side(counts, c):
+    """The counts and order the evaluator runs at: negated past C = N/2."""
+    n = len(counts)
+    return (counts, c) if 2 * c <= n else ([-x for x in counts], n - c)
+
+
+def _exact_hedge(counts, eta, c):
+    """Exact marginals of the weights exp(eta * count), as doubles, at cache
+    size c. Past C = N/2 the integer DP runs on the complement, p = 1 - q
+    with q of the weights exp(-eta * count) at order N - C: an identity (see
+    `test_complement_duality`) that keeps the DP at order min(C, N - C)."""
+    s, order = _side(counts, c)
+    top = max(s)
+    q = _exact_marginals([_nats_to_pair(eta * (x - top)) for x in s], order)
+    return q if order == c else [1.0 - v for v in q]
+
+
+def _no_fallback(pairs, order):
+    raise AssertionError("the pairs tables ran")
+
+
+@pytest.mark.parametrize("n,c,rounds", [(64, 6, 1_400), (300, 20, 6_000), (1000, 50, 20_000),
+                                        (1000, 950, 20_000)])
+def test_scaled_marginals_match_exact_reference(n, c, rounds, monkeypatch):
+    # Zipf counts at eta 0.3 put e_C of the max-normalised weights far below
+    # the double range. The pairs tables hold 1e-12 on them; the evaluator
+    # rescales and peels, stays in plain doubles and holds 1e-12 too.
     eta = 0.3
     counts = _zipf_counts(n, rounds, seed=0)
-    cmax = max(counts)
-    pairs = [_nats_to_pair(eta * (x - cmax)) for x in counts]
-    assert sage_mod._marginals_fast([math.ldexp(m, e) for m, e in pairs], c) is None
-    expect = _exact_marginals(pairs, c)
-    assert max(abs(a - b) for a, b in zip(sage_mod._marginals_scaled(pairs, c), expect)) <= 1e-12
+    expect = _exact_hedge(counts, eta, c)
+    s, order = _side(counts, c)
+    top = max(s)
+    q = sage_mod._marginals_scaled([_nats_to_pair(eta * (x - top)) for x in s], order)
+    assert _max_error(q if order == c else [1.0 - v for v in q], expect) <= 1e-12
     state = SageState(n, c, eta=eta)
-    state.counts, state.count_max = counts, cmax
-    assert sage_mod._marginals_fast(state.weights(), c) is None
-    assert max(abs(a - b) for a, b in zip(state.marginals(), expect)) <= 1e-12
+    state.counts, state.count_max = counts, max(counts)
+    monkeypatch.setattr(sage_mod, "_marginals_scaled", _no_fallback)
+    assert _max_error(state.marginals(), expect) <= 1e-12
 
 
 @pytest.mark.parametrize("n,c,rounds,eta", [(64, 6, 1_400, 0.05), (300, 20, 6_000, 0.004),
-                                             (1000, 50, 20_000, 0.002)])
+                                             (1000, 50, 20_000, 0.002),
+                                             (1000, 950, 20_000, 0.002)])
 def test_plain_marginals_match_exact_reference(n, c, rounds, eta):
-    # Milder eta keeps e_C in double range, so the plain path answers; the
-    # spread counts make the deletion recurrence cancel for a few files,
-    # which it recomputes.
+    # Milder eta keeps the plain tables in range with no peel. They run at
+    # order min(C, N - C), with weights around the mean of the top counts of
+    # that side: at C = 950 order 950 itself would pass 2**900 even for equal
+    # weights, since (1000 choose 500) ~ 2**1000.
     counts = _zipf_counts(n, rounds, seed=0)
-    cmax = max(counts)
-    pairs = [_nats_to_pair(eta * (x - cmax)) for x in counts]
-    expect = _exact_marginals(pairs, c)
-    p = sage_mod._marginals_fast([math.ldexp(m, e) for m, e in pairs], c)
-    assert p is not None
-    assert _max_error(p, expect) <= 1e-12
+    expect = _exact_hedge(counts, eta, c)
+    s, order = _side(counts, c)
+    ref = sum(sorted(s)[n - order:]) / order
+    w = [math.exp(eta * (x - ref)) for x in s]
+    e, loo = sage_mod._esp_loo_plain(w, order)
+    q = [wi * f / e for wi, f in zip(w, loo)]
+    assert _max_error(q if order == c else [1.0 - v for v in q], expect) <= 1e-12
     state = SageState(n, c, eta=eta)
-    state.counts, state.count_max = counts, cmax
+    state.counts, state.count_max = counts, max(counts)
     assert _max_error(state.marginals(), expect) <= 1e-12
+
+
+def test_zipf_trajectory_matches_exact_reference(monkeypatch):
+    # Every round of the skewed golden replay (N=64, C=6, eta 0.3): the
+    # counts spread until the top file is peeled, all in plain doubles.
+    trace = zipf_trace(64, 1.5, 1_400, seed=0)
+    state = SageState(64, 6, eta=0.3)
+    monkeypatch.setattr(sage_mod, "_marginals_scaled", _no_fallback)
+    worst = 0.0
+    for x in trace.requests:
+        worst = max(worst, _max_error(state.marginals(), _exact_hedge(state.counts, 0.3, 6)))
+        state.update(x)
+    assert worst <= 1e-12
+
+
+def test_split_top_group_takes_the_pairs_tables(monkeypatch):
+    # 30 files at count 44 and 90 at 0, C=60: the top 60 are 30 weights
+    # e**22 and 30 weights e**-22 around their mean, so e_30 ~ e**660 passes
+    # 2**900, and 44 counts are too few to peel (ln 60 + 42 nats). Only the
+    # pairs tables can answer.
+    counts = [44] * 30 + [0] * 90
+    calls = []
+    scaled = sage_mod._marginals_scaled
+    monkeypatch.setattr(sage_mod, "_marginals_scaled",
+                        lambda pairs, order: calls.append(order) or scaled(pairs, order))
+    state = SageState(120, 60, eta=1.0)
+    state.counts, state.count_max = counts, 44
+    p = state.marginals()
+    assert calls == [60]
+    assert _max_error(p, _exact_hedge(counts, 1.0, 60)) <= 1e-12
+
+
+@given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=9),
+       st.integers(min_value=0, max_value=400), st.floats(min_value=1e-3, max_value=2.0))
+@settings(max_examples=80, deadline=None)
+def test_complement_duality(n, c, count_seed, eta):
+    # p(C, w) = 1 - p(N - C, 1/w), on both sides of C = N/2
+    if c >= n:
+        return
+    rng = SplitMix64(count_seed)
+    counts = [rng.next_below(21) for _ in range(n)]
+    state = SageState(n, c, eta=eta)
+    state.counts, state.count_max = counts, max(counts)
+    got = state.marginals()
+    assert _max_error(got, hedge_bruteforce_marginals(counts, eta, n, c)) <= 1e-10
+    dual = hedge_bruteforce_marginals([-x for x in counts], eta, n, n - c)
+    assert _max_error(got, [1.0 - q for q in dual]) <= 1e-10
 
 
 def test_sage_update_validates():
@@ -411,6 +492,13 @@ def test_single_file_library():
     st_ = SageState(1, 1, eta=1.0)
     assert st_.marginals() == [1.0]
     assert madow_sample([1.0], 0.5) == [0]
+
+
+def test_madow_walk_compares_offsets_exactly():
+    # u + 1 rounds to 2.0 at u = 1 - 2**-53; cum[j + 1] - 1 does not
+    u = 1.0 - 2.0 ** -53
+    assert madow_sample([1.0, 1.0, 1.0], u) == [0, 1, 2]
+    assert madow_sample([1.0, 1.0, 0.0], u) == [0, 1]
 
 
 def test_madow_validates_inputs():

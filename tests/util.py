@@ -1,9 +1,10 @@
 """Shared test helpers."""
 
+import math
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, combinations
 
-from unicache import FsmSpec, RequestTrace, SplitMix64
+from unicache import DomainError, FsmSpec, RequestTrace, ScaleGuardError, SplitMix64
 
 
 def random_trace(n_files: int, length: int, seed: int) -> RequestTrace:
@@ -47,3 +48,27 @@ def stderr(values):
     m = mean(values)
     var = sum((v - m) ** 2 for v in values) / (n - 1)
     return (var / n) ** 0.5
+
+
+def hedge_bruteforce_marginals(counts, eta: float, n_files: int, cache_size: int) -> list[float]:
+    """Hedge marginals by enumerating all (N choose C) subset-experts explicitly.
+
+    Each subset S carries mass proportional to exp(eta * sum of counts in S);
+    the marginal of file i is the mass fraction of subsets containing i.
+    Only usable at small scale.
+    """
+    if len(counts) != n_files:
+        raise DomainError(f"expected {n_files} counts, got {len(counts)}")
+    if not 1 <= cache_size <= n_files:
+        raise DomainError(f"cache size {cache_size} outside [1, {n_files}]")
+    if math.comb(n_files, cache_size) > 10**6:
+        raise ScaleGuardError("brute-force expert enumeration capped at 1e6 subsets")
+    best = sum(sorted(counts, reverse=True)[:cache_size])
+    total = 0.0
+    acc = [0.0] * n_files
+    for subset in combinations(range(n_files), cache_size):
+        mass = math.exp(eta * (sum(counts[i] for i in subset) - best))
+        total += mass
+        for i in subset:
+            acc[i] += mass
+    return [a / total for a in acc]
