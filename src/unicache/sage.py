@@ -57,7 +57,7 @@ from .core import DomainError, NumericError, RequestTrace, RunRecord, SplitMix64
 from .fsm import Window
 
 # Below this bound on every e_a(w), a <= m, nothing overflows, e_m >= 1, and
-# an underflow moves a marginal by at most 2**-1075 * _PLAIN_MAX = 2**-175.
+# each underflow moves a marginal by at most 2**-1075 * _PLAIN_MAX = 2**-175.
 _PLAIN_MAX = 2.0 ** 900
 
 # A file whose marginal is 1 to within e**-42 (~6e-19) is peeled off.
