@@ -160,13 +160,6 @@ class RunRecord:
             raise DomainError("cumulative_hits disagrees with the hit sequence")
 
 
-def score_round(cache: CacheSet, request: int) -> int:
-    """Unit reward iff the requested file is in the cache."""
-    if not 0 <= request < cache.n_files:
-        raise DomainError(f"request {request} outside [0, {cache.n_files})")
-    return 1 if request in cache.files else 0
-
-
 def hit_rate(record: RunRecord) -> float:
     """Fraction of rounds that were hits."""
     if record.T == 0:
@@ -205,17 +198,21 @@ def load_trace(path, n_files: int | None = None) -> RequestTrace:
     declared_n = None
     base = 0
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if lineno == 1 and line.startswith("#"):
-                declared_n, base = _parse_trace_header(line, path)
-                continue
-            try:
-                requests.append(int(line))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: not an integer file id: {line!r}") from None
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                if lineno == 1 and line.startswith("#"):
+                    declared_n, base = _parse_trace_header(line, path)
+                    continue
+                try:
+                    requests.append(int(line))
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: not an integer file id: "
+                                    f"{line!r}") from None
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not an ASCII text file") from None
     if base == 1:
         requests = [x - 1 for x in requests]
     n = declared_n if declared_n is not None else n_files

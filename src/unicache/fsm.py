@@ -8,11 +8,17 @@ state. LRU and FIFO are materialized as explicit FSPs whose states are
 ordered tuples of distinct cached files.
 
 A machine, in the sense every policy and oracle here uses, is any object
-with a hashable `current` state and an `advance(request)` method: an
-`FsmSpec` walked by `FsmRunner`, the order-k `Window`, or the LZ-78 parse
-tree (`lz.LzTree`). `state_file_counts` and `top_c_hits` are the one
-counting pass behind every per-state oracle. Machines take requests from a
-validated trace, so only the parse tree checks them again.
+with a hashable `current` state, an `advance(request)` method and a bulk
+`states(requests)` method: an `FsmSpec` walked by `FsmRunner`, the order-k
+`Window`, or the LZ-78 parse tree (`lz.LzTree`). `states` returns the state
+before each request and leaves the machine advanced past them all, as the
+same `advance` calls would; `Machine` gives the loop over `advance`, and
+`Window` computes it from slices of the history instead. `state_file_counts`
+and `top_c_hits` are the one counting pass behind every per-state oracle:
+a state's top-C files score the state's total count less the counts of the
+files past its C-th, so only states with more than C distinct files are
+sorted. Machines take requests from a validated trace, so only the parse
+tree checks them again.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from heapq import nlargest
+from itertools import compress
+from operator import itemgetter
 
 from .core import (CacheSet, DataError, DomainError, RequestTrace, RunRecord,
                    ScaleGuardError)
@@ -90,7 +98,22 @@ class VisitCounts:
         return len(self.counts[0]) if self.counts else 0
 
 
-class FsmRunner:
+class Machine:
+    """The bulk walk shared by machines whose only transition rule is `advance`."""
+
+    __slots__ = ()
+
+    def states(self, requests) -> list:
+        """The state before each request; the machine ends past them all."""
+        out = []
+        append, advance = out.append, self.advance
+        for x in requests:
+            append(self.current)
+            advance(x)
+        return out
+
+
+class FsmRunner(Machine):
     """An `FsmSpec` walked from its start state."""
 
     __slots__ = ("transitions", "current")
@@ -103,7 +126,7 @@ class FsmRunner:
         self.current = self.transitions[self.current][request]
 
 
-class Window:
+class Window(Machine):
     """Order-k context machine: the state is the tuple of the up-to-k most
     recent requests, most recent last. Order 0 has the single state ()."""
 
@@ -120,26 +143,51 @@ class Window:
             window = self.current
             self.current = (window if len(window) < self.k else window[1:]) + (request,)
 
+    def states(self, requests) -> list:
+        """The window before each request, as `advance` would build it: the
+        partial tuples while fewer than k requests are known, then the k-wide
+        tuples, which are zips of k shifted slices of the history."""
+        k = self.k
+        if not k:
+            return [()] * len(requests)
+        history = self.current + tuple(requests)
+        n = len(history)
+        # The window is partial only before the k-th request ever seen, and
+        # then it holds the whole history.
+        out = [history[:p] for p in range(len(self.current), min(k, n))]
+        if n > k:
+            out += zip(*[history[i:n - k + i] for i in range(k)])
+        self.current = history[-k:]
+        return out
+
 
 def state_file_counts(machine, requests) -> Counter:
     """counts[(state, file)]: how often each file is requested while the
     machine is in each state. Each request is counted in the current state
     and then advances the machine."""
-    def states():
-        advance = machine.advance
-        for x in requests:
-            yield machine.current
-            advance(x)
-    return Counter(zip(states(), requests))
+    return Counter(zip(machine.states(requests), requests))
 
 
 def top_c_hits(counts: Counter, cache_size: int) -> int:
     """Hits of the best per-state cache: summed over the states, the counts
-    of each state's `cache_size` most-requested files."""
-    per_state = defaultdict(list)
-    for (state, _), n in counts.items():
-        per_state[state].append(n)
-    return sum(sum(nlargest(cache_size, row)) for row in per_state.values())
+    of each state's `cache_size` most-requested files.
+
+    That is the total count less, in each state with more than `cache_size`
+    distinct files, the counts below its top `cache_size`; only those
+    crowded states are sorted.
+    """
+    crowded = {state for state, n in Counter(map(itemgetter(0), counts)).items()
+               if n > cache_size}
+    hits = sum(counts.values())
+    if crowded:
+        rows = defaultdict(list)
+        in_crowded = map(crowded.__contains__, map(itemgetter(0), counts))
+        for (state, _), n in compress(counts.items(), in_crowded):
+            rows[state].append(n)
+        for row in rows.values():
+            row.sort()
+            hits -= sum(row[:-cache_size])
+    return hits
 
 
 def visit_counts(spec: FsmSpec, trace: RequestTrace) -> VisitCounts:
@@ -317,7 +365,10 @@ def save_fsm(spec: FsmSpec, path, prefetcher: Prefetcher | None = None) -> None:
 def load_fsm(path) -> tuple[FsmSpec, Prefetcher | None]:
     """Read the text form written by `save_fsm`."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh]
+        try:
+            lines = [ln.strip() for ln in fh]
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not an ASCII text file") from None
     lines = [ln for ln in lines if ln]
     if not lines:
         raise DataError(f"{path}: empty machine file")

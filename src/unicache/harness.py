@@ -138,6 +138,8 @@ def parse_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         # Malformed syntax, repeated keys and bad %-interpolation.
         raise ConfigError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file in the {exc.encoding} encoding") from None
 
 
 def _config_from(parser: configparser.ConfigParser, path) -> ExperimentConfig:
@@ -312,29 +314,6 @@ def to_csv(rows: list[ResultRow]) -> str:
             r.policy, r.order, r.seed, r.T, r.n_files, r.cache_size,
             r.hits, r.hit_rate, r.regret_static, r.regret_markov_k, r.bound_value)))
     return "\n".join(lines) + "\n"
-
-
-def parse_csv(text: str) -> list[ResultRow]:
-    """Inverse of `to_csv`, for round-trip checks and downstream tooling."""
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError("unexpected CSV header")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 11:
-            raise ConfigError(f"bad CSV row: {ln!r}")
-
-        def opt(v, cast):
-            return cast(v) if v else None
-
-        rows.append(ResultRow(
-            policy=parts[0], order=opt(parts[1], int), seed=opt(parts[2], int),
-            T=int(parts[3]), n_files=int(parts[4]), cache_size=int(parts[5]),
-            hits=int(parts[6]), hit_rate=float(parts[7]),
-            regret_static=opt(parts[8], int), regret_markov_k=opt(parts[9], int),
-            bound_value=opt(parts[10], float)))
-    return rows
 
 
 def report(rows: list[ResultRow], fmt: str = "csv") -> str:

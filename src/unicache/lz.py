@@ -17,7 +17,7 @@ statistics; no special end-of-stream handling.
 from __future__ import annotations
 
 from .core import DomainError, RequestTrace
-from .fsm import state_file_counts, top_c_hits
+from .fsm import Machine, state_file_counts, top_c_hits
 from .sage import EtaConfig, MachineSagePolicy
 
 
@@ -32,7 +32,7 @@ class LzNode:
         self.visits = 0  # requests consumed while this node was current
 
 
-class LzTree:
+class LzTree(Machine):
     """Parse-tree machine: node records, current-node pointer, phrase count."""
 
     def __init__(self, n_files: int):

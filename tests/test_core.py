@@ -2,27 +2,28 @@ import pytest
 
 from unicache import (CacheSet, DataError, DomainError, EmptyTraceError, RequestTrace,
                       RunRecord, SplitMix64, hit_rate, load_trace, regret, replay,
-                      save_trace, score_round)
+                      save_trace)
 
 
 def test_score_round_hit_and_miss():
+    # A round scores a hit iff the request is in the cache set.
     cache = CacheSet(frozenset({1, 4}), 5)
-    assert score_round(cache, 1) == 1
-    assert score_round(CacheSet(frozenset({0, 2}), 5), 3) == 0
-    assert score_round(CacheSet(frozenset({0}), 1), 0) == 1
+    assert 1 in cache and 4 in cache
+    assert 3 not in CacheSet(frozenset({0, 2}), 5)
+    assert 0 in CacheSet(frozenset({0}), 1)
 
 
 def test_score_round_rejects_out_of_range_request():
-    cache = CacheSet(frozenset({0, 1}), 3)
-    with pytest.raises(DomainError):
-        score_round(cache, 3)
-    with pytest.raises(DomainError):
-        score_round(cache, -1)
+    # Requests are range-checked once, when the trace is built.
+    for bad in (3, -1):
+        with pytest.raises(DomainError, match="at round 1"):
+            RequestTrace(3, [0, bad, 1])
 
 
 def test_score_round_is_pure():
     cache = CacheSet(frozenset({2, 5}), 6)
-    assert [score_round(cache, 2) for _ in range(5)] == [1] * 5
+    assert [2 in cache for _ in range(5)] == [True] * 5
+    assert cache.files == frozenset({2, 5})
 
 
 def test_cache_set_validates_members():

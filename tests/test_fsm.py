@@ -1,12 +1,15 @@
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unicache import (DataError, DomainError, FifoPolicy, FsmRunner, FsmSpec, LruPolicy,
                       Prefetcher, RequestTrace, ScaleGuardError, SplitMix64, fifo_fsp,
                       hit_rate, load_fsm, lru_fsp, offline_fsp_hits, optimal_prefetcher,
-                      replay, save_fsm, simulate_fsp, visit_counts)
-from util import random_trace, worked_example
+                      random_fsm, replay, save_fsm, simulate_fsp, top_c_hits, visit_counts)
+from util import advance_walk, random_trace, top_c_hits_reference, worked_example
 
 
 def _after(spec, state, request):
@@ -33,6 +36,33 @@ def test_fsm_step_single_state():
     for x in (0, 2, 1, 1):
         machine.advance(x)
         assert machine.current == 0
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2**32), st.lists(st.integers(0, 3), max_size=10),
+       st.lists(st.integers(0, 3), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_fsm_runner_states_match_the_advance_walk(q, n, seed, history, requests):
+    spec, _ = random_fsm(q, n, 1, seed)
+    bulk, walk = FsmRunner(spec), FsmRunner(spec)
+    for x in history:
+        bulk.advance(x % n)
+        walk.advance(x % n)
+    requests = [x % n for x in requests]
+    assert bulk.states(requests) == advance_walk(walk, requests)
+    assert bulk.current == walk.current
+
+
+@given(st.integers(min_value=1, max_value=6),
+       st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                       st.integers(min_value=1, max_value=4), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_top_c_hits_matches_the_per_state_reference(n, counts):
+    # States hold from 1 to n distinct files, so rows are shorter than, as
+    # long as and longer than C; counts of 1..4 make ties.
+    counts = Counter({(s, x % n): v for (s, x), v in counts.items()})
+    for c in range(1, n + 1):
+        assert top_c_hits(counts, c) == top_c_hits_reference(counts, c)
 
 
 def test_fsm_step_domain_errors():

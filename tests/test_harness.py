@@ -7,11 +7,10 @@ import pytest
 
 import unicache
 from unicache import (ConfigError, RequestTrace, offline_fsp_hits, parse_config,
-                      parse_csv, run_experiment, save_fsm, save_trace, summarize,
-                      to_csv)
+                      run_experiment, save_fsm, save_trace, summarize, to_csv)
 from unicache.harness import CSV_HEADER, ExperimentConfig, PolicySpec, parse_policy_spec
 from unicache import bounds as bounds_mod
-from util import worked_example
+from util import parse_csv, worked_example
 
 
 def test_parse_policy_specs():
@@ -311,7 +310,25 @@ seeds = 0
 """)
     r = _cli("run", "--config", "bad.ini", cwd=tmp_path)
     assert r.returncode == 3, r.stderr
-    gen = "[trace]\nstates = 5\nfiles = 3\nrounds = 50\n"
+    # A byte outside ASCII in a trace or machine file is a data error naming
+    # the file, and one that does not decode in a config file a config error.
+    (tmp_path / "ok.trace").write_text("0\n1\n2\n")
+    (tmp_path / "latin.trace").write_bytes(b"# N=3 BASE=0\n0\n1\xe9\n")
+    (tmp_path / "latin.fsm").write_bytes(b"1 3 0\n0 0 0\n0\xff\n")
+    run = "[run]\ncache_size = 2\nseeds = 0\npolicies = "
+    (tmp_path / "latin-trace.ini").write_text(f"[trace]\npath = latin.trace\n{run}lru\n")
+    (tmp_path / "latin-fsm.ini").write_text(
+        f"[trace]\npath = ok.trace\n{run}fsp-oracle:latin.fsm\n")
+    (tmp_path / "latin.ini").write_bytes(
+        f"[trace]\npath = ok.trace\n{run}lru\n# \xff\xfe\n".encode("latin-1"))
+    for args, code, name in ((("parse-stats", "--trace", "latin.trace"), 3, "latin.trace"),
+                             (("run", "--config", "latin-trace.ini"), 3, "latin.trace"),
+                             (("run", "--config", "latin-fsm.ini"), 3, "latin.fsm"),
+                             (("run", "--config", "latin.ini"), 2, "latin.ini")):
+        r = _cli(*args, cwd=tmp_path)
+        assert r.returncode == code, (args, r.stderr)
+        assert name in r.stderr and "Traceback" not in r.stderr, r.stderr
+    gen ="[trace]\nstates = 5\nfiles = 3\nrounds = 50\n"
     for name, text in (("unclosed.ini", "[run\ncache_size = 2\n"),
                        ("repeated.ini", gen + "[run]\ncache_size = 2\ncache_size = 3\n"),
                        ("inf.ini", gen + "[run]\ncache_size = 2\npolicies = sage\neta = inf\n")):

@@ -1,12 +1,14 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unicache import (DomainError, LzSagePolicy, LzTree, RequestTrace,
                       depth_split_counts, dump_tree, offline_lz_oracle,
                       offline_markov_hit_rate, parse_phrases, replay,
                       SagePolicy, SplitMix64)
-from util import mean, random_trace
+from util import advance_walk, mean, random_trace
 
 
 def reference_parse(requests):
@@ -58,6 +60,25 @@ def test_lz_advance_validates():
     tree = LzTree(3)
     with pytest.raises(DomainError):
         tree.advance(3)
+    for bad in ([0, 1, 3], [-1]):
+        with pytest.raises(DomainError):
+            LzTree(3).states(bad)
+
+
+@given(st.integers(min_value=1, max_value=4), st.lists(st.integers(0, 3), max_size=20),
+       st.lists(st.integers(0, 3), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_lz_states_match_the_advance_walk(n, history, requests):
+    bulk, walk = LzTree(n), LzTree(n)
+    for x in history:
+        bulk.advance(x % n)
+        walk.advance(x % n)
+    requests = [x % n for x in requests]
+    assert bulk.states(requests) == advance_walk(walk, requests)
+    assert (bulk.current, bulk.node_count, bulk.phrase_count) == \
+        (walk.current, walk.node_count, walk.phrase_count)
+    assert [(node.visits, node.children) for node in bulk.nodes] == \
+        [(node.visits, node.children) for node in walk.nodes]
 
 
 def test_consumed_tracks_rounds():

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from unicache import (DomainError, EtaConfig, MarkovSagePolicy, RequestTrace, SagePolicy,
                       Window, lockstep_replay, offline_markov_hit_rate, replay)
-from util import random_trace
+from util import advance_walk, random_trace
 
 
 def test_shift_context_drops_oldest():
@@ -26,6 +26,19 @@ def test_shift_context_grows_during_warmup():
     for x, expect in [(4, (4,)), (5, (4, 5)), (6, (4, 5, 6)), (7, (5, 6, 7))]:
         window.advance(x)
         assert window.current == expect
+
+
+@given(st.integers(min_value=0, max_value=7), st.lists(st.integers(0, 3), max_size=10),
+       st.lists(st.integers(0, 3), max_size=24))
+@settings(max_examples=300, deadline=None)
+def test_window_states_match_the_advance_walk(k, history, requests):
+    # The window starts empty, partial or full, and T may be below k.
+    bulk, walk = Window(k), Window(k)
+    for x in history:
+        bulk.advance(x)
+        walk.advance(x)
+    assert bulk.states(requests) == advance_walk(walk, requests)
+    assert bulk.current == walk.current
 
 
 def test_context_validation():

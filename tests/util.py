@@ -2,9 +2,13 @@
 
 import math
 from bisect import bisect_right
+from collections import Counter, defaultdict
+from heapq import nlargest
 from itertools import accumulate, combinations
 
-from unicache import DomainError, FsmSpec, RequestTrace, ScaleGuardError, SplitMix64
+from unicache import (ConfigError, DomainError, FsmSpec, RequestTrace, ResultRow,
+                      ScaleGuardError, SplitMix64)
+from unicache.harness import CSV_HEADER
 
 
 def random_trace(n_files: int, length: int, seed: int) -> RequestTrace:
@@ -72,3 +76,44 @@ def hedge_bruteforce_marginals(counts, eta: float, n_files: int, cache_size: int
         for i in subset:
             acc[i] += mass
     return [a / total for a in acc]
+
+
+def advance_walk(machine, requests) -> list:
+    """The state before each request, one `advance` at a time."""
+    states = []
+    for x in requests:
+        states.append(machine.current)
+        machine.advance(x)
+    return states
+
+
+def top_c_hits_reference(counts: Counter, cache_size: int) -> int:
+    """Per-state top-C hits the direct way: group each state's counts, sum
+    its `cache_size` largest with `heapq.nlargest`."""
+    per_state = defaultdict(list)
+    for (state, _), n in counts.items():
+        per_state[state].append(n)
+    return sum(sum(nlargest(cache_size, row)) for row in per_state.values())
+
+
+def parse_csv(text: str) -> list[ResultRow]:
+    """Inverse of `harness.to_csv`, for round-trip checks."""
+    lines = [ln for ln in text.splitlines() if ln]
+    if not lines or lines[0] != CSV_HEADER:
+        raise ConfigError("unexpected CSV header")
+    rows = []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != 11:
+            raise ConfigError(f"bad CSV row: {ln!r}")
+
+        def opt(v, cast):
+            return cast(v) if v else None
+
+        rows.append(ResultRow(
+            policy=parts[0], order=opt(parts[1], int), seed=opt(parts[2], int),
+            T=int(parts[3]), n_files=int(parts[4]), cache_size=int(parts[5]),
+            hits=int(parts[6]), hit_rate=float(parts[7]),
+            regret_static=opt(parts[8], int), regret_markov_k=opt(parts[9], int),
+            bound_value=opt(parts[10], float)))
+    return rows
