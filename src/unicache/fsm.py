@@ -126,7 +126,7 @@ class FsmRunner(Machine):
         self.current = self.transitions[self.current][request]
 
 
-class Window(Machine):
+class Window:
     """Order-k context machine: the state is the tuple of the up-to-k most
     recent requests, most recent last. Order 0 has the single state ()."""
 

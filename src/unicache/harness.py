@@ -1,6 +1,6 @@
 """Config-driven experiment runs over traces: policies, oracles, CSV output.
 
-Config files are INI-style. A minimal example::
+Config files are INI-style UTF-8 text. A minimal example::
 
     [trace]
     states = 50
@@ -132,14 +132,14 @@ def _parse_seeds(text: str) -> list[int]:
 def parse_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"cannot read config file {path}")
         return _config_from(parser, path)
     except configparser.Error as exc:
         # Malformed syntax, repeated keys and bad %-interpolation.
         raise ConfigError(f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not a text file in the {exc.encoding} encoding") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
 
 
 def _config_from(parser: configparser.ConfigParser, path) -> ExperimentConfig:

@@ -244,8 +244,8 @@ def test_experiment_config_validates_cache_size(tmp_path):
 _PACKAGE_ROOT = str(Path(unicache.__file__).resolve().parent.parent)
 
 
-def _cli(*args, cwd):
-    env = dict(os.environ)
+def _cli(*args, cwd, **env_vars):
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         [_PACKAGE_ROOT] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     return subprocess.run([sys.executable, "-m", "unicache.cli", *args],
@@ -311,7 +311,7 @@ seeds = 0
     r = _cli("run", "--config", "bad.ini", cwd=tmp_path)
     assert r.returncode == 3, r.stderr
     # A byte outside ASCII in a trace or machine file is a data error naming
-    # the file, and one that does not decode in a config file a config error.
+    # the file, and bytes that are not UTF-8 in a config file a config error.
     (tmp_path / "ok.trace").write_text("0\n1\n2\n")
     (tmp_path / "latin.trace").write_bytes(b"# N=3 BASE=0\n0\n1\xe9\n")
     (tmp_path / "latin.fsm").write_bytes(b"1 3 0\n0 0 0\n0\xff\n")
@@ -328,7 +328,12 @@ seeds = 0
         r = _cli(*args, cwd=tmp_path)
         assert r.returncode == code, (args, r.stderr)
         assert name in r.stderr and "Traceback" not in r.stderr, r.stderr
-    gen ="[trace]\nstates = 5\nfiles = 3\nrounds = 50\n"
+    # Configs are UTF-8 whatever the locale's encoding.
+    (tmp_path / "utf8.ini").write_text(f"[trace]\npath = ok.trace\n{run}lru\n# caf\u00e9\n",
+                                       encoding="utf-8")
+    r = _cli("run", "--config", "utf8.ini", "--quiet", cwd=tmp_path, LC_ALL="C", PYTHONUTF8="0")
+    assert r.returncode == 0, r.stderr
+    gen = "[trace]\nstates = 5\nfiles = 3\nrounds = 50\n"
     for name, text in (("unclosed.ini", "[run\ncache_size = 2\n"),
                        ("repeated.ini", gen + "[run]\ncache_size = 2\ncache_size = 3\n"),
                        ("inf.ini", gen + "[run]\ncache_size = 2\npolicies = sage\neta = inf\n")):
