@@ -106,9 +106,12 @@ class RequestTrace:
         if self.n_files < 1:
             raise DomainError(f"library size must be >= 1, got {self.n_files}")
         n = self.n_files
-        for t, x in enumerate(self.requests):
-            if not 0 <= x < n:
-                raise DomainError(f"request {x} at round {t} outside [0, {n})")
+        requests = self.requests
+        # min/max run in C; the loop only names the first bad round.
+        if requests and (min(requests) < 0 or max(requests) >= n):
+            for t, x in enumerate(requests):
+                if not 0 <= x < n:
+                    raise DomainError(f"request {x} at round {t} outside [0, {n})")
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -189,28 +192,37 @@ def load_trace(path, n_files: int | None = None) -> RequestTrace:
     """Read a trace file: one integer file id per line.
 
     An optional first line ``# N=<int> BASE=<0|1>`` declares the library
-    size and whether ids are 1-based (they are shifted down on load).
-    Without a header, ids are taken as 0-based and the library size is
-    `n_files` if given, else ``max(id) + 1``. Any malformed line is a hard
-    error naming the line number.
+    size and whether ids are 1-based (they are shifted down on load); a
+    ``#`` line anywhere else is malformed. Without a header, ids are taken
+    as 0-based and the library size is `n_files` if given, else
+    ``max(id) + 1``. A line holds one integer as `int` reads it once
+    surrounding whitespace is stripped (signs and ``_`` separators
+    included); blank lines are skipped. A malformed line or an id outside
+    the library is a hard error naming the line number.
+
+    The body is read in blocks of about `_BLOCK_HINT` characters, each
+    converted by one `map(int, ...)`. A block holding a blank or malformed
+    line is redone line by line, which skips the blanks and names the bad
+    line; the whole text is never held at once.
     """
     requests: list[int] = []
     declared_n = None
     base = 0
     with open(path, "r", encoding="ascii") as fh:
         try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                if lineno == 1 and line.startswith("#"):
-                    declared_n, base = _parse_trace_header(line, path)
-                    continue
+            block, lineno = fh.readlines(1), 1
+            if block and (first := block[0].strip()).startswith("#"):
+                declared_n, base = _parse_trace_header(first, path)
+                block, lineno = fh.readlines(_BLOCK_HINT), 2
+            while block:
+                mark = len(requests)
                 try:
-                    requests.append(int(line))
+                    requests += map(int, block)
                 except ValueError:
-                    raise DataError(f"{path}:{lineno}: not an integer file id: "
-                                    f"{line!r}") from None
+                    del requests[mark:]
+                    requests += _ids_by_line(block, lineno, path)
+                lineno += len(block)
+                block = fh.readlines(_BLOCK_HINT)
         except UnicodeDecodeError:
             raise DataError(f"{path}: not an ASCII text file") from None
     if base == 1:
@@ -219,11 +231,44 @@ def load_trace(path, n_files: int | None = None) -> RequestTrace:
     if n is None:
         if not requests:
             raise DataError(f"{path}: empty trace with no library size declared")
-        n = max(requests) + 1
+        n = max(max(requests) + 1, 1)
     try:
         return RequestTrace(n_files=n, requests=requests)
     except DomainError as exc:
+        if n >= 1:
+            raise _out_of_range(path, base, n - 1 + base) from None
         raise DataError(f"{path}: {exc}") from None
+
+
+# Characters per block of trace lines: a few thousand short lines.
+_BLOCK_HINT = 1 << 14
+
+
+def _ids_by_line(lines: list[str], lineno: int, path) -> list[int]:
+    """The ids of `lines` (the first is line `lineno`), skipping blank ones."""
+    ids = []
+    for lineno, raw in enumerate(lines, start=lineno):
+        line = raw.strip()
+        if line:
+            try:
+                ids.append(int(line))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: not an integer file id: "
+                                f"{line!r}") from None
+    return ids
+
+
+def _out_of_range(path, low: int, high: int) -> DataError:
+    """The error naming the first line of a parsed trace file whose id, as
+    written, lies outside [low, high]."""
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or (lineno == 1 and line.startswith("#")):
+                continue
+            if not low <= int(line) <= high:
+                return DataError(f"{path}:{lineno}: file id {line} outside [{low}, {high}]")
+    raise AssertionError(f"{path}: no id outside [{low}, {high}]")
 
 
 def _parse_trace_header(line: str, path) -> tuple[int, int]:
