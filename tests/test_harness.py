@@ -328,6 +328,12 @@ seeds = 0
         r = _cli(*args, cwd=tmp_path)
         assert r.returncode == code, (args, r.stderr)
         assert name in r.stderr and "Traceback" not in r.stderr, r.stderr
+    # An id outside the library is a data error naming its line, as written.
+    (tmp_path / "base1.trace").write_text("# N=3 BASE=1\n0\n")
+    r = _cli("parse-stats", "--trace", "base1.trace", cwd=tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert "base1.trace:2: file id 0 outside [1, 3]" in r.stderr, r.stderr
+    assert "Traceback" not in r.stderr, r.stderr
     # Configs are UTF-8 whatever the locale's encoding.
     (tmp_path / "utf8.ini").write_text(f"[trace]\npath = ok.trace\n{run}lru\n# caf\u00e9\n",
                                        encoding="utf-8")

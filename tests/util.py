@@ -6,8 +6,9 @@ from collections import Counter, defaultdict
 from heapq import nlargest
 from itertools import accumulate, combinations
 
-from unicache import (ConfigError, DomainError, FsmSpec, RequestTrace, ResultRow,
+from unicache import (ConfigError, DataError, DomainError, FsmSpec, RequestTrace, ResultRow,
                       ScaleGuardError, SplitMix64)
+from unicache.core import _parse_trace_header
 from unicache.harness import CSV_HEADER
 
 
@@ -94,6 +95,42 @@ def top_c_hits_reference(counts: Counter, cache_size: int) -> int:
     for (state, _), n in counts.items():
         per_state[state].append(n)
     return sum(sum(nlargest(cache_size, row)) for row in per_state.values())
+
+
+def load_trace_reference(path, n_files: int | None = None) -> RequestTrace:
+    """`core.load_trace` one line at a time: strip, skip blanks, read the
+    header from line 1 only, `int` each other line, then range-check each id
+    as written against the library, naming its line."""
+    ids = []  # (line number, text, id)
+    declared_n = None
+    base = 0
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                if lineno == 1 and line.startswith("#"):
+                    declared_n, base = _parse_trace_header(line, path)
+                    continue
+                try:
+                    ids.append((lineno, line, int(line)))
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: not an integer file id: "
+                                    f"{line!r}") from None
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not an ASCII text file") from None
+    n = declared_n if declared_n is not None else n_files
+    if n is None:
+        if not ids:
+            raise DataError(f"{path}: empty trace with no library size declared")
+        n = max(max(x for _, _, x in ids) + 1, 1)
+    if n < 1:
+        raise DataError(f"{path}: library size must be >= 1, got {n}")
+    for lineno, line, x in ids:
+        if not base <= x <= n - 1 + base:
+            raise DataError(f"{path}:{lineno}: file id {line} outside [{base}, {n - 1 + base}]")
+    return RequestTrace(n, [x - base for _, _, x in ids])
 
 
 def parse_csv(text: str) -> list[ResultRow]:
