@@ -6,10 +6,10 @@ method and a bulk `states(requests)` method that returns the state before
 each request: the order-k context `Window` (order 0 for plain SAGE), the
 LZ-78 parse tree `LzTree`, or a given FSM run by `FsmRunner`. The online
 policies run one SAGE instance (sampled Hedge over C-subsets) per state,
-in `MachineSagePolicy`; the offline oracles cache each state's top-C
-files, from one counting pass (`state_file_counts`, `top_c_hits`): they
-score the total count less, in each state with more than C distinct
-files, the counts below its C-th.
+in `MachineSagePolicy`; every offline oracle, `fsp-oracle` included,
+caches each state's top-C files, from one counting pass
+(`state_file_counts`, `top_c_hits`): they score the total count less, in
+each state with more than C distinct files, the counts below its C-th.
 Around them: LRU and FIFO, closed-form bound evaluators, a synthetic trace
 generator with a zero-miss certificate, and a config-driven experiment
 harness.
@@ -18,10 +18,9 @@ harness.
 from .core import (CacheSet, ConfigError, DataError, DomainError, EmptyTraceError,
                    NumericError, RequestTrace, RunRecord, ScaleGuardError, SplitMix64,
                    UniCacheError, hit_rate, load_trace, regret, replay, save_trace)
-from .fsm import (FifoPolicy, FsmRunner, FsmSpec, LruPolicy, Prefetcher, VisitCounts,
-                  Window, fifo_fsp, load_fsm, lru_fsp, offline_fsp_hits,
-                  optimal_prefetcher, save_fsm, simulate_fsp, state_file_counts,
-                  top_c_hits, visit_counts)
+from .fsm import (FifoPolicy, FsmRunner, FsmSpec, LruPolicy, Prefetcher, Window, fifo_fsp,
+                  load_fsm, lru_fsp, offline_fsp_hits, save_fsm, simulate_fsp,
+                  state_file_counts, top_c_hits)
 from .sage import (EtaConfig, MachineSagePolicy, SagePolicy, SageState, lockstep_replay,
                    madow_sample)
 from .markov import MarkovSagePolicy, offline_markov_hit_rate
@@ -31,7 +30,7 @@ from .bounds import (fsm_regret_bound, fsp_total_regret_bound, lz_regret_bound,
                      markov_regret_bound, markov_vs_fsp_gap, miss_fraction_bound,
                      static_regret_bound)
 from .datagen import generate_trace, random_fsm
-from .harness import (ExperimentConfig, PolicySpec, ResultRow, parse_config, report,
-                      run_experiment, summarize, to_csv)
+from .harness import (ExperimentConfig, PolicySpec, ResultRow, parse_config, run_experiment,
+                      summarize, to_csv)
 
 __version__ = "0.1.0"

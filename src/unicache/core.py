@@ -192,11 +192,11 @@ def load_trace(path, n_files: int | None = None) -> RequestTrace:
     """Read a trace file: one integer file id per line.
 
     An optional first line ``# N=<int> BASE=<0|1>`` declares the library
-    size and whether ids are 1-based (they are shifted down on load); a
-    ``#`` line anywhere else is malformed. Without a header, ids are taken
-    as 0-based and the library size is `n_files` if given, else
-    ``max(id) + 1``. A line holds one integer as `int` reads it once
-    surrounding whitespace is stripped (signs and ``_`` separators
+    size and whether ids are 1-based (they are shifted down on load), each
+    field at most once; a ``#`` line anywhere else is malformed. Without a
+    header, ids are taken as 0-based and the library size is `n_files` if
+    given, else ``max(id) + 1``. A line holds one integer as `int` reads it
+    once surrounding whitespace is stripped (signs and ``_`` separators
     included); blank lines are skipped. A malformed line or an id outside
     the library is a hard error naming the line number.
 
@@ -275,8 +275,12 @@ def _parse_trace_header(line: str, path) -> tuple[int, int]:
     fields = line.lstrip("#").split()
     n = None
     base = 0
+    seen = set()
     for f in fields:
         key, _, value = f.partition("=")
+        if key in seen:
+            raise DataError(f"{path}:1: repeated header field {key!r}")
+        seen.add(key)
         if key == "N":
             try:
                 n = int(value)

@@ -14,11 +14,12 @@ with a hashable `current` state, an `advance(request)` method and a bulk
 before each request and leaves the machine advanced past them all, as the
 same `advance` calls would; `Machine` gives the loop over `advance`, and
 `Window` computes it from slices of the history instead. `state_file_counts`
-and `top_c_hits` are the one counting pass behind every per-state oracle:
-a state's top-C files score the state's total count less the counts of the
-files past its C-th, so only states with more than C distinct files are
-sorted. Machines take requests from a validated trace, so only the parse
-tree checks them again.
+and `top_c_hits` are the one counting pass behind every per-state oracle,
+the fsp oracle (`offline_fsp_hits`) included, which also reads its
+per-state caches off the same counts: a state's top-C files score the
+state's total count less the counts of the files past its C-th, so only
+states with more than C distinct files are sorted. Machines take requests
+from a validated trace, so only the parse tree checks them again.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from heapq import nlargest
 from itertools import compress
-from operator import itemgetter
+from operator import contains, itemgetter
 
 from .core import (CacheSet, DataError, DomainError, RequestTrace, RunRecord,
                    ScaleGuardError)
@@ -76,26 +77,6 @@ class Prefetcher:
     @property
     def cache_size(self) -> int:
         return self.caches[0].size
-
-
-@dataclass
-class VisitCounts:
-    """counts[s][x] = number of requests for file x made while in state s."""
-
-    counts: list[list[int]]
-    total: int
-
-    def __post_init__(self):
-        if sum(map(sum, self.counts)) != self.total:
-            raise DomainError("visit counts must sum to the number of rounds")
-
-    @property
-    def n_states(self) -> int:
-        return len(self.counts)
-
-    @property
-    def n_files(self) -> int:
-        return len(self.counts[0]) if self.counts else 0
 
 
 class Machine:
@@ -190,37 +171,21 @@ def top_c_hits(counts: Counter, cache_size: int) -> int:
     return hits
 
 
-def visit_counts(spec: FsmSpec, trace: RequestTrace) -> VisitCounts:
-    """Replay the trace from the start state, counting requests per state."""
-    if trace.n_files > spec.n_files:
-        raise DomainError(f"trace uses {trace.n_files} files but FSM only knows {spec.n_files}")
-    counts = [[0] * spec.n_files for _ in range(spec.n_states)]
-    for (s, x), n in state_file_counts(FsmRunner(spec), trace.requests).items():
-        counts[s][x] = n
-    return VisitCounts(counts=counts, total=len(trace))
-
-
-def optimal_prefetcher(counts: VisitCounts, cache_size: int) -> Prefetcher:
-    """Per state, the C most-requested files; ties broken toward smaller ids."""
-    n = counts.n_files
+def offline_fsp_hits(spec: FsmSpec, trace: RequestTrace, cache_size: int) -> tuple[int, Prefetcher]:
+    """Hit count of the best prefetcher for this FSM on this trace, plus that
+    prefetcher: per state, the C most-requested files, an unrequested file
+    counting 0 and ties broken toward smaller ids."""
+    n = spec.n_files
+    if trace.n_files > n:
+        raise DomainError(f"trace uses {trace.n_files} files but FSM only knows {n}")
     if not 1 <= cache_size <= n:
         raise DomainError(f"cache size {cache_size} outside [1, {n}]")
+    counts = state_file_counts(FsmRunner(spec), trace.requests)
     caches = []
-    for row in counts.counts:
-        top = nlargest(cache_size, range(n), key=lambda i: (row[i], -i))
+    for s in range(spec.n_states):
+        top = nlargest(cache_size, range(n), key=lambda i: (counts[s, i], -i))
         caches.append(CacheSet(frozenset(top), n))
-    return Prefetcher(caches=caches)
-
-
-def offline_fsp_hits(spec: FsmSpec, trace: RequestTrace, cache_size: int) -> tuple[int, Prefetcher]:
-    """Hit count of the best prefetcher for this FSM on this trace, plus that prefetcher."""
-    vc = visit_counts(spec, trace)
-    best = optimal_prefetcher(vc, cache_size)
-    hits = 0
-    for s, cache in enumerate(best.caches):
-        row = vc.counts[s]
-        hits += sum(row[i] for i in cache.files)
-    return hits, best
+    return top_c_hits(counts, cache_size), Prefetcher(caches=caches)
 
 
 def simulate_fsp(spec: FsmSpec, prefetcher: Prefetcher, trace: RequestTrace) -> RunRecord:
@@ -230,12 +195,8 @@ def simulate_fsp(spec: FsmSpec, prefetcher: Prefetcher, trace: RequestTrace) -> 
     if trace.n_files > spec.n_files:
         raise DomainError(f"trace uses {trace.n_files} files but FSM only knows {spec.n_files}")
     sets = [c.files for c in prefetcher.caches]
-    machine = FsmRunner(spec)
-    hits = bytearray()
-    for x in trace.requests:
-        hits.append(1 if x in sets[machine.current] else 0)
-        machine.advance(x)
-    return RunRecord(policy_name="fsp", hits=bytes(hits))
+    cached = map(sets.__getitem__, FsmRunner(spec).states(trace.requests))
+    return RunRecord(policy_name="fsp", hits=bytes(map(contains, cached, trace.requests)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,28 +330,29 @@ def load_fsm(path) -> tuple[FsmSpec, Prefetcher | None]:
             lines = [ln.strip() for ln in fh]
         except UnicodeDecodeError:
             raise DataError(f"{path}: not an ASCII text file") from None
-    lines = [ln for ln in lines if ln]
+    # Blank lines are skipped, but every message names the line in the file.
+    lines = [(lineno, ln) for lineno, ln in enumerate(lines, start=1) if ln]
     if not lines:
         raise DataError(f"{path}: empty machine file")
+    lineno, header = lines[0]
     try:
-        q, n, c = map(int, lines[0].split())
+        q, n, c = map(int, header.split())
     except ValueError:
-        raise DataError(f"{path}:1: header must be 'Q N C', got {lines[0]!r}") from None
+        raise DataError(f"{path}:{lineno}: header must be 'Q N C', got {header!r}") from None
     want = 1 + q + 1 + (q if c else 0)
     if len(lines) != want:
         raise DataError(f"{path}: expected {want} non-empty lines, found {len(lines)}")
     rows = []
-    for s in range(q):
-        lineno = 2 + s
+    for lineno, line in lines[1:1 + q]:
         try:
-            row = [int(v) for v in lines[1 + s].split()]
+            rows.append([int(v) for v in line.split()])
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad transition row") from None
-        rows.append(row)
+    lineno, line = lines[1 + q]
     try:
-        s0 = int(lines[1 + q])
+        s0 = int(line)
     except ValueError:
-        raise DataError(f"{path}:{2 + q}: bad start state line {lines[1 + q]!r}") from None
+        raise DataError(f"{path}:{lineno}: bad start state line {line!r}") from None
     try:
         spec = FsmSpec(n_states=q, n_files=n, transitions=rows, initial_state=s0)
     except DomainError as exc:
@@ -398,10 +360,9 @@ def load_fsm(path) -> tuple[FsmSpec, Prefetcher | None]:
     prefetcher = None
     if c:
         caches = []
-        for s in range(q):
-            lineno = 2 + q + 1 + s
+        for lineno, line in lines[2 + q:]:
             try:
-                ids = [int(v) for v in lines[2 + q + s].split()]
+                ids = [int(v) for v in line.split()]
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad prefetch row") from None
             if len(set(ids)) != c:

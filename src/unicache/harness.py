@@ -316,15 +316,6 @@ def to_csv(rows: list[ResultRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report(rows: list[ResultRow], fmt: str = "csv") -> str:
-    """Render a result table: lossless CSV or an aligned multi-seed summary."""
-    if fmt == "csv":
-        return to_csv(rows)
-    if fmt == "summary":
-        return summarize(rows)
-    raise ConfigError(f"unknown report format {fmt!r} (use 'csv' or 'summary')")
-
-
 def summarize(rows: list[ResultRow]) -> str:
     """Aggregate multi-seed rows to 'mean +/- stderr' lines per policy."""
     groups: dict[str, list[ResultRow]] = {}

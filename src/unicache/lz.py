@@ -10,8 +10,10 @@ root + completed phrases; per-node statistics and phrase boundaries are
 unaffected by the laziness, and a fully N-ary materialization would hold
 (internal nodes) * N + 1 nodes instead.
 
-The partial phrase in flight when the trace ends stays in the per-node
-statistics; no special end-of-stream handling.
+`LzTree.advance` is the one place that decides where a phrase ends;
+`parse_phrases` reads the phrases off the finished tree. The partial phrase
+in flight when the trace ends stays in the per-node statistics; no special
+end-of-stream handling.
 """
 
 from __future__ import annotations
@@ -73,17 +75,17 @@ class LzTree(Machine):
 
 
 def parse_phrases(trace: RequestTrace) -> tuple[list[tuple[int, ...]], LzTree]:
-    """Parse a trace, returning the completed phrases in order and the tree."""
+    """Parse a trace, returning the completed phrases in order and the tree.
+
+    Phrase i is the path from the root to node i + 1: a node is created when
+    its phrase completes, after its parent's.
+    """
     tree = LzTree(trace.n_files)
-    phrases = []
-    phrase: list[int] = []
-    for x in trace.requests:
-        phrase.append(x)
-        at_new_child = tree.nodes[tree.current].children.get(x) is None
-        tree.advance(x)
-        if at_new_child:
-            phrases.append(tuple(phrase))
-            phrase = []
+    tree.states(trace.requests)
+    phrases: list[tuple[int, ...]] = []
+    for node in tree.nodes[1:]:
+        prefix = phrases[node.parent - 1] if node.parent else ()
+        phrases.append(prefix + (node.symbol,))
     return phrases, tree
 
 

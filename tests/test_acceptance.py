@@ -10,15 +10,15 @@ from statistics import mean, stdev
 
 import pytest
 
-from unicache import (EtaConfig, FifoPolicy, LruPolicy, LzSagePolicy, MarkovSagePolicy,
-                      RequestTrace, SagePolicy, SageState, SplitMix64, fifo_fsp,
-                      generate_trace, hit_rate, lockstep_replay,
+from unicache import (EtaConfig, FifoPolicy, FsmRunner, LruPolicy, LzSagePolicy,
+                      MarkovSagePolicy, RequestTrace, SagePolicy, SageState, SplitMix64,
+                      fifo_fsp, generate_trace, hit_rate, lockstep_replay,
                       lru_fsp, lz_regret_bound, madow_sample, markov_regret_bound,
                       markov_vs_fsp_gap, miss_fraction_bound, offline_fsp_hits,
-                      offline_lz_oracle, offline_markov_hit_rate, optimal_prefetcher,
+                      offline_lz_oracle, offline_markov_hit_rate,
                       parse_phrases, random_fsm, replay, simulate_fsp,
-                      static_regret_bound, visit_counts)
-from util import hedge_bruteforce_marginals, worked_example
+                      state_file_counts, static_regret_bound)
+from util import hedge_bruteforce_marginals, nonzero_counts, worked_example
 
 
 def _announce(num, description):
@@ -31,9 +31,8 @@ def _se(values):
 
 def test_acceptance_01_worked_example_exact():
     spec, trace, counts, prefetch = worked_example()
-    vc = visit_counts(spec, trace)
-    assert vc.counts == counts
-    best = optimal_prefetcher(vc, 2)
+    assert state_file_counts(FsmRunner(spec), trace.requests) == nonzero_counts(counts)
+    best = offline_fsp_hits(spec, trace, 2)[1]
     assert [set(c.files) for c in best.caches] == prefetch
     hits, best2 = offline_fsp_hits(spec, trace, 2)
     assert hits == 11

@@ -195,7 +195,8 @@ _BAD_LINE = st.sampled_from(["1__0", "_1", "1_", "+-1", "1 2", "1.0", "0x1", "x"
 _HEADER = st.one_of(st.none(),
                     st.sampled_from(["# N=20 BASE=0", "# N=25 BASE=1", " #N=6 BASE=1", "# N=3"]),
                     st.sampled_from(["# N=3 BASE=7", "# N=many", "# N=0", "# BASE=1",
-                                     "# N=4 X=1", "#"]))
+                                     "# N=4 X=1", "#", "# N=3 N=9 BASE=1",
+                                     "# N=20 BASE=1 BASE=0"]))
 _EOL = st.sampled_from(["\n", "\r\n", "\r"])
 
 

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from unicache import (DataError, DomainError, FifoPolicy, FsmRunner, FsmSpec, LruPolicy,
                       Prefetcher, RequestTrace, ScaleGuardError, SplitMix64, fifo_fsp,
-                      hit_rate, load_fsm, lru_fsp, offline_fsp_hits, optimal_prefetcher,
-                      random_fsm, replay, save_fsm, simulate_fsp, top_c_hits, visit_counts)
-from util import advance_walk, random_trace, top_c_hits_reference, worked_example
+                      hit_rate, load_fsm, lru_fsp, offline_fsp_hits, random_fsm, replay,
+                      save_fsm, simulate_fsp, state_file_counts, top_c_hits)
+from util import (advance_walk, nonzero_counts, optimal_prefetcher_reference, random_trace,
+                  top_c_hits_reference, worked_example)
 
 
 def _after(spec, state, request):
@@ -73,7 +74,11 @@ def test_fsm_step_domain_errors():
     with pytest.raises(DomainError):
         simulate_fsp(spec, Prefetcher([_cache((0,), 2)] * 2), trace)
     with pytest.raises(DomainError):
-        visit_counts(spec, trace)
+        offline_fsp_hits(spec, trace, 1)
+    # A cache holds from 1 to all of the machine's files.
+    for cache_size in (0, 3):
+        with pytest.raises(DomainError):
+            offline_fsp_hits(spec, RequestTrace(2, [0, 1]), cache_size)
 
 
 def test_fsm_spec_validation():
@@ -87,44 +92,54 @@ def test_fsm_spec_validation():
 
 def test_visit_counts_worked_example():
     spec, trace, counts, _ = worked_example()
-    vc = visit_counts(spec, trace)
-    assert vc.counts == counts
-    assert sum(map(sum, vc.counts)) == vc.total == len(trace)
-
-
-def test_visit_counts_total_invariant():
-    from unicache import VisitCounts
-
-    with pytest.raises(DomainError):
-        VisitCounts(counts=[[1, 0], [0, 0]], total=2)
+    visits = state_file_counts(FsmRunner(spec), trace.requests)
+    assert visits == nonzero_counts(counts)
+    assert sum(visits.values()) == len(trace)
 
 
 def test_visit_counts_empty_and_single_state():
     spec, _, _, _ = worked_example()
-    vc = visit_counts(spec, RequestTrace(5, []))
-    assert vc.counts == [[0] * 5] * 3 and vc.total == 0
+    assert state_file_counts(FsmRunner(spec), []) == nonzero_counts([[0] * 5] * 3)
     flat = FsmSpec(1, 3, [[0, 0, 0]], 0)
-    vc = visit_counts(flat, RequestTrace(3, [0, 2, 2, 1, 2]))
-    assert vc.counts == [[1, 1, 3]]
+    visits = state_file_counts(FsmRunner(flat), [0, 2, 2, 1, 2])
+    assert visits == nonzero_counts([[1, 1, 3]])
 
 
 def test_optimal_prefetcher_worked_example():
     spec, trace, _, prefetch = worked_example()
-    best = optimal_prefetcher(visit_counts(spec, trace), 2)
+    _, best = offline_fsp_hits(spec, trace, 2)
     assert [set(c.files) for c in best.caches] == prefetch
 
 
 def test_optimal_prefetcher_tie_break_smallest_id():
     spec = FsmSpec(1, 4, [[0] * 4], 0)
-    vc = visit_counts(spec, RequestTrace(4, []))
-    best = optimal_prefetcher(vc, 2)
+    _, best = offline_fsp_hits(spec, RequestTrace(4, []), 2)
     assert set(best.caches[0].files) == {0, 1}
 
 
 def test_optimal_prefetcher_full_library():
     spec, trace, _, _ = worked_example()
-    best = optimal_prefetcher(visit_counts(spec, trace), 5)
+    _, best = offline_fsp_hits(spec, trace, 5)
     assert all(set(c.files) == set(range(5)) for c in best.caches)
+
+
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_offline_fsp_hits_match_the_dense_reference(q, n, data):
+    # State q is never entered, so one state is always unvisited; files
+    # 0..n-1 over short traces leave states with fewer than C requested
+    # files, and small counts tie.
+    transitions = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                                     min_size=q + 1, max_size=q + 1))
+    spec = FsmSpec(q + 1, n, transitions, data.draw(st.integers(0, q - 1)))
+    trace = RequestTrace(n, data.draw(st.lists(st.integers(0, n - 1), max_size=30)))
+    visits = Counter(zip(advance_walk(FsmRunner(spec), trace.requests), trace.requests))
+    for c in range(1, n + 1):
+        hits, best = offline_fsp_hits(spec, trace, c)
+        assert [cache.files for cache in best.caches] == \
+            optimal_prefetcher_reference(spec, trace, c)
+        assert hits == top_c_hits_reference(visits, c)
 
 
 def test_offline_hits_worked_example():
@@ -321,3 +336,19 @@ def test_fsm_load_errors(tmp_path):
     p.write_text("2 2 0\n0 1\n1 0\n")
     with pytest.raises(DataError):
         load_fsm(p)
+
+
+def test_fsm_load_errors_name_the_line_past_blank_lines(tmp_path):
+    # Blank lines before each kind of row: the message names the row's line
+    # in the file, not its place among the non-blank lines.
+    p = tmp_path / "blank.fsm"
+    for text, where in (("\n\n1 3\n0 0 0\n0\n", ":3: header must be 'Q N C'"),
+                        ("1 3 0\n\n\n0 0 x\n0\n", ":4: bad transition row"),
+                        ("1 3 0\n0 0 0\n\n\nx\n", ":5: bad start state line 'x'"),
+                        ("1 3 1\n0 0 0\n0\n\n\nx\n", ":6: bad prefetch row"),
+                        ("1 3 1\n0 0 0\n0\n\n\n0 1\n", ":6: expected 1 distinct file ids"),
+                        ("1 3 1\n0 0 0\n\n0\n\n9\n", ":6: cached file 9 outside [0, 3)")):
+        p.write_text(text)
+        with pytest.raises(DataError) as info:
+            load_fsm(p)
+        assert str(info.value).startswith(f"{p}{where}"), (text, str(info.value))

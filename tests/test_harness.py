@@ -184,28 +184,6 @@ seeds = 0:2
             assert r.bound_value == pytest.approx(expect, rel=1e-12)
 
 
-def test_report_dispatches_formats(tmp_path):
-    cfg = _write_config(tmp_path / "exp.ini", """
-[trace]
-states = 4
-files = 3
-rounds = 150
-seed = 8
-
-[run]
-cache_size = 1
-policies = sage
-seeds = 0:2
-""")
-    from unicache import report
-
-    rows = run_experiment(cfg)
-    assert report(rows, "csv") == to_csv(rows)
-    assert report(rows, "summary") == summarize(rows)
-    with pytest.raises(ConfigError):
-        report(rows, "xml")
-
-
 def test_summarize_recomputes_mean(tmp_path):
     cfg = _write_config(tmp_path / "exp.ini", """
 [trace]
@@ -334,6 +312,11 @@ seeds = 0
     assert r.returncode == 3, r.stderr
     assert "base1.trace:2: file id 0 outside [1, 3]" in r.stderr, r.stderr
     assert "Traceback" not in r.stderr, r.stderr
+    # A header field named twice is a data error, not a silent last-wins.
+    (tmp_path / "twice.trace").write_text("# N=3 N=9 BASE=1 BASE=0\n8\n")
+    r = _cli("parse-stats", "--trace", "twice.trace", cwd=tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert "twice.trace:1: repeated header field 'N'" in r.stderr, r.stderr
     # Configs are UTF-8 whatever the locale's encoding.
     (tmp_path / "utf8.ini").write_text(f"[trace]\npath = ok.trace\n{run}lru\n# caf\u00e9\n",
                                        encoding="utf-8")

@@ -1,0 +1,28 @@
+"""The runtime imports only the standard library (Python >= 3.10)."""
+
+import ast
+import sys
+from pathlib import Path
+
+import unicache
+
+PACKAGE = Path(unicache.__file__).resolve().parent
+
+
+def _absolute_imports(tree):
+    """Top-level module of every absolute import in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_runtime_imports_only_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    outside = {(path.name, module)
+               for path in sources
+               for module in _absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
+               if module not in sys.stdlib_module_names}
+    assert not outside, sorted(outside)

@@ -97,6 +97,26 @@ def top_c_hits_reference(counts: Counter, cache_size: int) -> int:
     return sum(sum(nlargest(cache_size, row)) for row in per_state.values())
 
 
+def optimal_prefetcher_reference(spec: FsmSpec, trace: RequestTrace,
+                                 cache_size: int) -> list[frozenset]:
+    """The best prefetcher's cache sets the dense way: a Q x N table of
+    request counts, filled by walking the transition table, then per row the
+    `cache_size` largest counts, ties broken toward smaller ids."""
+    counts = [[0] * spec.n_files for _ in range(spec.n_states)]
+    state = spec.initial_state
+    for x in trace.requests:
+        counts[state][x] += 1
+        state = spec.transitions[state][x]
+    return [frozenset(nlargest(cache_size, range(spec.n_files), key=lambda i: (row[i], -i)))
+            for row in counts]
+
+
+def nonzero_counts(rows) -> Counter:
+    """A dense per-state table of counts as the (state, file) `Counter` that
+    `state_file_counts` returns: its nonzero entries."""
+    return Counter({(s, x): n for s, row in enumerate(rows) for x, n in enumerate(row) if n})
+
+
 def load_trace_reference(path, n_files: int | None = None) -> RequestTrace:
     """`core.load_trace` one line at a time: strip, skip blanks, read the
     header from line 1 only, `int` each other line, then range-check each id
