@@ -18,7 +18,7 @@ from .core import (CacheSet, ConfigError, DataError, DomainError, NumericError,
 from .datagen import generate_trace, random_fsm
 from .fsm import Prefetcher, save_fsm
 from .harness import parse_config, run_experiment, summarize, to_csv
-from .lz import depth_split_counts, dump_tree, parse_phrases
+from .lz import LzTree, depth_split_counts, dump_tree
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -116,7 +116,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_parse_stats(args) -> int:
     trace = load_trace(args.trace)
-    phrases, tree = parse_phrases(trace)
+    tree = LzTree(trace.n_files)
+    tree.states(trace.requests)
     max_depth = max(node.depth for node in tree.nodes)
     print(f"rounds          {len(trace)}")
     print(f"files           {trace.n_files}")

@@ -10,7 +10,10 @@ construction, and consumes draws in a fixed, documented order: one uniform
 per cache sample (see `sage.madow_sample`), nothing else. A seed draws
 exactly one `next_float` per round, in the same order, whether its policy
 runs alone under `replay` or beside other seeds under
-`sage.lockstep_replay`, so both give the same hits. The trace
+`sage.lockstep_replay`, so both give the same hits. The experiment harness
+may run different policies in different processes, but all seeds of one
+policy run in lockstep in one process and no draw depends on the process,
+so a run's results do not depend on how many CPUs it uses. The trace
 generator's draw schedule is documented in `datagen`. SplitMix64 is a
 well-known, portable 64-bit generator, so seeds transfer across
 implementations; the algorithm is restated in full in `SplitMix64`.

@@ -339,6 +339,11 @@ def load_fsm(path) -> tuple[FsmSpec, Prefetcher | None]:
         q, n, c = map(int, header.split())
     except ValueError:
         raise DataError(f"{path}:{lineno}: header must be 'Q N C', got {header!r}") from None
+    for field, value, low in (("Q", q, 1), ("N", n, 1), ("C", c, 0)):
+        if value < low:
+            raise DataError(f"{path}:{lineno}: header {field} must be >= {low}, got {value}")
+    if c > n:
+        raise DataError(f"{path}:{lineno}: header C {c} exceeds N {n}")
     want = 1 + q + 1 + (q if c else 0)
     if len(lines) != want:
         raise DataError(f"{path}: expected {want} non-empty lines, found {len(lines)}")

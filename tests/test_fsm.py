@@ -352,3 +352,17 @@ def test_fsm_load_errors_name_the_line_past_blank_lines(tmp_path):
         with pytest.raises(DataError) as info:
             load_fsm(p)
         assert str(info.value).startswith(f"{p}{where}"), (text, str(info.value))
+
+
+def test_fsm_load_range_checks_the_header(tmp_path):
+    # Each field of the header is checked before the rows it sizes are read.
+    p = tmp_path / "header.fsm"
+    for header, message in (("1 2 -1", "header C must be >= 0, got -1"),
+                            ("-1 2 0", "header Q must be >= 1, got -1"),
+                            ("0 2 0", "header Q must be >= 1, got 0"),
+                            ("1 0 0", "header N must be >= 1, got 0"),
+                            ("1 2 3", "header C 3 exceeds N 2")):
+        p.write_text(f"\n{header}\n0 0\n0\n")
+        with pytest.raises(DataError) as info:
+            load_fsm(p)
+        assert str(info.value) == f"{p}:2: {message}", header
