@@ -11,8 +11,8 @@ import time
 
 import pytest
 
-from unicache import (CacheSet, DataError, Prefetcher, generate_trace, harness,
-                      random_fsm, save_fsm, save_trace)
+from unicache import (CacheSet, DataError, Prefetcher, RequestTrace, generate_trace,
+                      harness, random_fsm, save_fsm, save_trace)
 from unicache.cli import main
 
 README_POLICIES = ("sage, markov:1, markov:4, lz, lru, fifo, static-oracle, markov-oracle:4, "
@@ -50,8 +50,7 @@ def _experiment(tmp_path, policies: str, trace_files: int = 3) -> str:
     """A config over a saved zero-miss trace and its generating machine."""
     spec, arrays = random_fsm(20, 3, 2, 4)
     trace = generate_trace(spec, arrays, spec.initial_state, 1_500, 5)
-    trace.n_files = trace_files
-    save_trace(trace, tmp_path / "t.trace")
+    save_trace(RequestTrace(trace_files, trace.requests), tmp_path / "t.trace")
     caches = [CacheSet(frozenset(a), 3) for a in arrays]
     save_fsm(spec, tmp_path / "m.fsm", Prefetcher(caches=caches))
     config = tmp_path / "exp.ini"
