@@ -29,8 +29,8 @@ requested order). ``bound_value`` holds the matching evaluator: the static
 regret cap for sage, the order-k cap for markov:k, and the parse-tree cap
 at order 0 for lz.
 
-Each distinct result is an independent job. A large enough run spreads its
-jobs over one process per CPU in its affinity mask (``taskset -c 0`` gives
+Each distinct result is an independent job. A run with two jobs or more
+spreads them over one process per CPU in its affinity mask (``taskset -c 0`` gives
 one process): `run_experiment` forks the helpers itself. The CSV, and the
 error a failing run raises, are those of a one-process run.
 """
@@ -40,6 +40,7 @@ from __future__ import annotations
 import configparser
 import marshal
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import bounds
@@ -234,11 +235,6 @@ def materialize_trace(cfg: ExperimentConfig) -> RequestTrace:
     return generate_trace(spec, arrays, spec.initial_state, cfg.gen_rounds, cfg.gen_seed + 1)
 
 
-# Below this many request-rounds in the whole job table a run stays serial.
-# Forking a helper and reaping it took 1.6 ms at 16 MB RSS and 3.0 ms at
-# 63 MB on a 2-vCPU x86-64 VM: up to 18,000 rounds of an order-0 oracle pass
-# (0.17 us each) or 1,800 of an order-4 or lz one (1.7 us).
-_FORK_MIN_ROUNDS = 50_000
 # Job indices queue up as 2 bytes each in one pipe, which holds at least a
 # page (4,096 bytes) without a reader; a longer table stays serial.
 _MAX_QUEUED = 2048
@@ -271,31 +267,30 @@ def run_experiment(cfg: ExperimentConfig, trace: RequestTrace | None = None) -> 
     # Loaded up front, so a missing or malformed machine file fails before any job runs.
     machines = {p.path: load_fsm(p.path)[0] for p in policies if p.kind == "fsp-oracle"}
 
-    # Job key -> (request-rounds, job), in the order a serial run computes them.
-    # The keys are the specs whose rows the results fill; static-oracle reads
-    # the order-0 markov oracle.
+    # Job key -> job, in the order a serial run computes them. The keys are
+    # the specs whose rows the results fill; static-oracle reads the order-0
+    # markov oracle.
     static = PolicySpec("markov-oracle", 0)
-    jobs: dict[PolicySpec, tuple] = {}
+    jobs: dict[PolicySpec, Callable] = {}
     orders = {p.order for p in policies if p.kind in ("markov", "markov-oracle")}
     if kinds & {"sage", "static-oracle"}:
         orders.add(0)
     for k in sorted(orders):
-        jobs[PolicySpec("markov-oracle", k)] = (
-            horizon, lambda k=k: offline_markov_hit_rate(trace, k, c)[1])
+        jobs[PolicySpec("markov-oracle", k)] = lambda k=k: offline_markov_hit_rate(trace, k, c)[1]
     if kinds & {"lz", "lz-oracle"}:
-        jobs[PolicySpec("lz-oracle")] = (horizon, lambda: offline_lz_oracle(trace, c))
+        jobs[PolicySpec("lz-oracle")] = lambda: offline_lz_oracle(trace, c)
     for spec in policies:
         if spec in jobs or spec.kind in ("static-oracle", "lz-oracle"):
             continue
         if spec.kind == "fsp-oracle":
-            jobs[spec] = (horizon, lambda m=machines[spec.path]: offline_fsp_hits(m, trace, c)[0])
+            jobs[spec] = lambda m=machines[spec.path]: offline_fsp_hits(m, trace, c)[0]
         elif spec.kind in ("lru", "fifo"):
             cls = LruPolicy if spec.kind == "lru" else FifoPolicy
-            jobs[spec] = (horizon, lambda cls=cls: replay(cls(n, c), trace).cumulative_hits)
+            jobs[spec] = lambda cls=cls: replay(cls(n, c), trace).cumulative_hits
         else:  # all seeds in one job, so that they share the machine walk
-            jobs[spec] = (horizon * len(seeds), lambda spec=spec: [
+            jobs[spec] = lambda spec=spec: [
                 record.cumulative_hits
-                for record in lockstep_replay(_learners(spec, n, c, eta_cfg, seeds), trace)])
+                for record in lockstep_replay(_learners(spec, n, c, eta_cfg, seeds), trace)]
     results = dict(zip(jobs, _run_jobs(list(jobs.values()))))
 
     static_hits = results.get(static)
@@ -331,16 +326,15 @@ def run_experiment(cfg: ExperimentConfig, trace: RequestTrace | None = None) -> 
     return rows
 
 
-def _run_jobs(jobs: list[tuple]) -> list:
-    """`[job() for _, job in jobs]`, computed on every CPU the process may use.
+def _run_jobs(jobs: list[Callable]) -> list:
+    """`[job() for job in jobs]`, computed on every CPU the process may use.
 
-    `jobs` holds (request-rounds, job) pairs; a job returns ints, floats or
-    lists and tuples of them. With more than one CPU in the affinity mask, at
-    least two jobs and `_FORK_MIN_ROUNDS` request-rounds in all, the parent
-    forks one helper per extra CPU (see `_run_forked`). Then, in index order,
-    it runs every job that has no result yet: a job that raised, or whose
-    helper died, runs again here, so the first failing job raises its own
-    exception, as in a serial run.
+    A job returns ints, floats or lists and tuples of them. With more than
+    one CPU in the affinity mask and at least two jobs, the parent forks one
+    helper per extra CPU (see `_run_forked`). Then, in index order, it runs
+    every job that has no result yet: a job that raised, or whose helper
+    died, runs again here, so the first failing job raises its own exception,
+    as in a serial run.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -348,25 +342,23 @@ def _run_jobs(jobs: list[tuple]) -> list:
         cpus = 1
     helpers = min(cpus, len(jobs)) - 1
     done = {}
-    if (helpers > 0 and len(jobs) <= _MAX_QUEUED
-            and sum(rounds for rounds, _ in jobs) >= _FORK_MIN_ROUNDS):
+    if helpers > 0 and len(jobs) <= _MAX_QUEUED:
         done = _run_forked(jobs, helpers)
-    return [done[i] if i in done else job() for i, (_, job) in enumerate(jobs)]
+    return [done[i] if i in done else job() for i, job in enumerate(jobs)]
 
 
-def _run_forked(jobs: list[tuple], helpers: int) -> dict:
+def _run_forked(jobs: list[Callable], helpers: int) -> dict:
     """The results, by index, of the jobs that ran without raising in the
     parent or in one of `helpers` forked helpers.
 
-    The job indices wait in one pipe, largest job first, and every worker
+    The job indices wait in one pipe in table order, and every worker
     claims the next one with a read. A worker whose job raised skips the later
     indices it claims: a serial run would not reach them. Each helper sends
     its results back `marshal`led through a pipe of its own and leaves with
     `os._exit`; the parent reaps every helper before it returns or raises.
     """
     queue, queue_w = os.pipe()
-    order = sorted(range(len(jobs)), key=lambda i: -jobs[i][0])
-    os.write(queue_w, b"".join(i.to_bytes(2, "little") for i in order))
+    os.write(queue_w, b"".join(i.to_bytes(2, "little") for i in range(len(jobs))))
     os.close(queue_w)
     children = []  # (pid, read end of the helper's result pipe)
     try:
@@ -409,7 +401,7 @@ def _run_forked(jobs: list[tuple], helpers: int) -> dict:
                 pass
 
 
-def _claim_and_run(jobs: list[tuple], queue: int) -> dict:
+def _claim_and_run(jobs: list[Callable], queue: int) -> dict:
     """Claim job indices from `queue` until it is empty; the results of the
     claimed jobs that ran without raising, by index."""
     done = {}
@@ -418,7 +410,7 @@ def _claim_and_run(jobs: list[tuple], queue: int) -> dict:
         i = int.from_bytes(claim, "little")
         if i < failed:
             try:
-                done[i] = jobs[i][1]()
+                done[i] = jobs[i]()
             except Exception:
                 failed = i
     return done

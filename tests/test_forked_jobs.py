@@ -1,9 +1,8 @@
 """The experiment's job table on forked helpers gives what a serial run gives.
 
-`harness._run_jobs` forks one helper per extra CPU in the affinity mask once
-the table is large enough. These tests force either path by replacing
-`os.sched_getaffinity` and lowering `harness._FORK_MIN_ROUNDS`, so they run
-the same on one CPU or many.
+`harness._run_jobs` forks one helper per extra CPU in the affinity mask when
+the table holds two jobs or more. These tests force either path by replacing
+`os.sched_getaffinity`, so they run the same on one CPU or many.
 """
 
 import os
@@ -38,7 +37,6 @@ def forks(monkeypatch):
 def _mode(monkeypatch, parallel: bool) -> None:
     cpus = {0, 1, 2} if parallel else {0}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    monkeypatch.setattr(harness, "_FORK_MIN_ROUNDS", 0)
 
 
 def _no_child_left() -> None:
@@ -100,10 +98,6 @@ def test_errors_are_those_of_a_serial_run(tmp_path, monkeypatch, capsys, machine
     assert message in messages[0]
 
 
-def _jobs(*jobs):
-    return [(1, job) for job in jobs]
-
-
 def _pid_after(seconds: float) -> int:
     time.sleep(seconds)
     return os.getpid()
@@ -111,7 +105,7 @@ def _pid_after(seconds: float) -> int:
 
 def test_helpers_run_jobs_and_results_keep_their_order(monkeypatch, forks):
     _mode(monkeypatch, parallel=True)
-    jobs = _jobs(*[lambda i=i: (i, _pid_after(0.02)) for i in range(8)])
+    jobs = [lambda i=i: (i, _pid_after(0.02)) for i in range(8)]
     results = harness._run_jobs(jobs)
     _no_child_left()
     assert [i for i, _ in results] == list(range(8))
@@ -126,8 +120,8 @@ def test_the_first_failing_job_in_serial_order_raises(monkeypatch):
 
     _mode(monkeypatch, parallel=True)
     # Job 1 fails late, after job 2 has failed; the serial run raises job 1's error.
-    jobs = _jobs(lambda: _pid_after(0.01), lambda: fail("first", 0.05), lambda: fail("second"),
-                 *[lambda: _pid_after(0.01)] * 5)
+    jobs = [lambda: _pid_after(0.01), lambda: fail("first", 0.05), lambda: fail("second"),
+            *[lambda: _pid_after(0.01)] * 5]
     for _ in range(3):
         with pytest.raises(DataError, match="^first$"):
             harness._run_jobs(jobs)
@@ -144,17 +138,7 @@ def test_a_helper_that_dies_without_reporting_costs_no_rows(monkeypatch):
         return i
 
     _mode(monkeypatch, parallel=True)
-    assert harness._run_jobs(_jobs(*[lambda i=i: dies_in_a_helper(i) for i in range(6)])) == \
+    assert harness._run_jobs([lambda i=i: dies_in_a_helper(i) for i in range(6)]) == \
         list(range(6))
     _no_child_left()
 
-
-def test_small_tables_stay_serial(monkeypatch, forks):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    rounds = harness._FORK_MIN_ROUNDS
-    assert harness._run_jobs([(rounds - 1, os.getpid), (0, os.getpid)]) == [os.getpid()] * 2
-    assert harness._run_jobs([(rounds, os.getpid)]) == [os.getpid()]
-    assert not forks
-    harness._run_jobs([(rounds, os.getpid), (0, os.getpid)])
-    assert len(forks) == 1
-    _no_child_left()
