@@ -30,9 +30,9 @@ regret cap for sage, the order-k cap for markov:k, and the parse-tree cap
 at order 0 for lz.
 
 Each distinct result is an independent job. A run with two jobs or more
-spreads them over one process per CPU in its affinity mask (``taskset -c 0`` gives
-one process): `run_experiment` forks the helpers itself. The CSV, and the
-error a failing run raises, are those of a one-process run.
+spreads them over one process per CPU in its affinity mask (``taskset -c 0``
+gives one process): `run_experiment` forks the helpers itself. The CSV, and
+the error a failing run raises, are those of a one-process run.
 """
 
 from __future__ import annotations

@@ -142,3 +142,8 @@ def test_a_helper_that_dies_without_reporting_costs_no_rows(monkeypatch):
         list(range(6))
     _no_child_left()
 
+
+def test_a_single_job_runs_in_the_parent(monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert harness._run_jobs([os.getpid]) == [os.getpid()]
+    assert not forks
