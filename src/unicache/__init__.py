@@ -10,22 +10,21 @@ in `MachineSagePolicy`; every offline oracle, `fsp-oracle` included,
 caches each state's top-C files, from one counting pass
 (`state_file_counts`, `top_c_hits`): they score the total count less, in
 each state with more than C distinct files, the counts below its C-th.
-Around them: LRU and FIFO, closed-form bound evaluators, a synthetic trace
-generator with a zero-miss certificate, and a config-driven experiment
-harness.
+Around them: LRU and FIFO as direct simulators, `simulate_fsp` to replay
+a machine file's own prefetcher, closed-form bound evaluators, a
+synthetic trace generator with a zero-miss certificate, and a
+config-driven experiment harness.
 """
 
-from .core import (CacheSet, ConfigError, DataError, DomainError, EmptyTraceError,
-                   NumericError, RequestTrace, RunRecord, ScaleGuardError, SplitMix64,
-                   UniCacheError, hit_rate, load_trace, regret, replay, save_trace)
-from .fsm import (FifoPolicy, FsmRunner, FsmSpec, LruPolicy, Prefetcher, Window, fifo_fsp,
-                  load_fsm, lru_fsp, offline_fsp_hits, save_fsm, simulate_fsp,
-                  state_file_counts, top_c_hits)
+from .core import (CacheSet, ConfigError, DataError, DomainError, NumericError,
+                   RequestTrace, RunRecord, SplitMix64, UniCacheError, load_trace, replay,
+                   save_trace)
+from .fsm import (FifoPolicy, FsmRunner, FsmSpec, LruPolicy, Prefetcher, Window, load_fsm,
+                  offline_fsp_hits, save_fsm, simulate_fsp, state_file_counts, top_c_hits)
 from .sage import (EtaConfig, MachineSagePolicy, SagePolicy, SageState, lockstep_replay,
                    madow_sample)
 from .markov import MarkovSagePolicy, offline_markov_hit_rate
-from .lz import (LzSagePolicy, LzTree, depth_split_counts, dump_tree, offline_lz_oracle,
-                 parse_phrases)
+from .lz import LzSagePolicy, LzTree, depth_split_counts, dump_tree, offline_lz_oracle
 from .bounds import (fsm_regret_bound, fsp_total_regret_bound, lz_regret_bound,
                      markov_regret_bound, markov_vs_fsp_gap, miss_fraction_bound,
                      static_regret_bound)

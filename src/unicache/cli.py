@@ -104,13 +104,17 @@ def _cmd_run(args) -> int:
 
 def _cmd_bounds(args) -> int:
     n, c, q, t = args.files, args.cache, args.states, args.rounds
-    print("k,gap_vs_fsp,zero_loss_regret,miss_fraction_bound,total_bound_zero_loss")
+    if args.max_order < 0:
+        raise DomainError(f"--max-order must be >= 0, got {args.max_order}")
+    # Every row is built before any is printed: a rejected argument prints nothing.
+    rows = ["k,gap_vs_fsp,zero_loss_regret,miss_fraction_bound,total_bound_zero_loss"]
     for k in range(args.max_order + 1):
         gap = bounds_mod.markov_vs_fsp_gap(q, k, n, c)
         zero_loss = bounds_mod.markov_regret_bound(k, 0, n, c)
         missfrac = bounds_mod.miss_fraction_bound(q, k, n, c, t)
         total = bounds_mod.fsp_total_regret_bound(q, k, n, c, t, 0)
-        print(f"{k},{gap:.12g},{zero_loss:.12g},{missfrac:.12g},{total:.12g}")
+        rows.append(f"{k},{gap:.12g},{zero_loss:.12g},{missfrac:.12g},{total:.12g}")
+    print("\n".join(rows))
     return EXIT_OK
 
 

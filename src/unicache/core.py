@@ -1,4 +1,4 @@
-"""Shared domain types: request traces, cache sets, hit accounting, seeded RNG.
+"""Shared domain types: request traces, cache sets, hit records, seeded RNG.
 
 File identifiers are 0-based everywhere inside the library. Trace files on
 disk may declare 1-based ids via their header and are shifted on load.
@@ -21,7 +21,7 @@ implementations; the algorithm is restated in full in `SplitMix64`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class UniCacheError(Exception):
@@ -30,14 +30,6 @@ class UniCacheError(Exception):
 
 class DomainError(UniCacheError):
     """An argument is outside its documented domain (bad id, size, state)."""
-
-
-class EmptyTraceError(DomainError):
-    """An operation that needs at least one round was given an empty run."""
-
-
-class ScaleGuardError(DomainError):
-    """An exhaustive or state-enumerating operation would exceed its size cap."""
 
 
 class NumericError(UniCacheError):
@@ -145,37 +137,24 @@ class CacheSet:
 
 @dataclass
 class RunRecord:
-    """Per-round hit sequence of one policy run plus its cumulative total."""
+    """Per-round hit sequence of one policy run."""
 
     policy_name: str
     hits: bytes
-    T: int = field(default=-1)
-    cumulative_hits: int = field(default=-1)
 
     def __post_init__(self):
         if self.hits.translate(None, b"\x00\x01"):
             raise DomainError("hit entries must be 0 or 1")
-        total = self.hits.count(1)
-        if self.T < 0:
-            self.T = len(self.hits)
-        if self.cumulative_hits < 0:
-            self.cumulative_hits = total
-        if self.T != len(self.hits):
-            raise DomainError(f"declared {self.T} rounds but {len(self.hits)} hit entries")
-        if self.cumulative_hits != total:
-            raise DomainError("cumulative_hits disagrees with the hit sequence")
 
+    @property
+    def T(self) -> int:
+        """Rounds played."""
+        return len(self.hits)
 
-def hit_rate(record: RunRecord) -> float:
-    """Fraction of rounds that were hits."""
-    if record.T == 0:
-        raise EmptyTraceError("hit rate undefined for an empty run")
-    return record.cumulative_hits / record.T
-
-
-def regret(benchmark_hits: int, policy_hits: int) -> int:
-    """Signed hit deficit of a policy against a benchmark (may be negative)."""
-    return benchmark_hits - policy_hits
+    @property
+    def cumulative_hits(self) -> int:
+        """Rounds that were hits."""
+        return self.hits.count(1)
 
 
 def replay(policy, trace: RequestTrace) -> RunRecord:

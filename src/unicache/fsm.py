@@ -4,8 +4,9 @@ An FSM is a transition table over (state, requested file); attaching a
 per-state cache set turns it into a finite-state prefetcher (FSP). Given a
 trace, the best prefetcher for a fixed machine is computed exactly: count
 requests per (state, file), then cache the C most-requested files of each
-state. LRU and FIFO are materialized as explicit FSPs whose states are
-ordered tuples of distinct cached files.
+state. `simulate_fsp` replays a machine file's prefetcher. LRU and FIFO
+are direct simulators; as machines their states would be the ordered
+tuples of cached files, a form the tests build to check them.
 
 A machine, in the sense every policy and oracle here uses, is any object
 with a hashable `current` state, an `advance(request)` method and a bulk
@@ -30,10 +31,7 @@ from heapq import nlargest
 from itertools import compress
 from operator import contains, itemgetter
 
-from .core import (CacheSet, DataError, DomainError, RequestTrace, RunRecord,
-                   ScaleGuardError)
-
-_STATE_CAP = 10**6
+from .core import CacheSet, DataError, DomainError, RequestTrace, RunRecord
 
 
 @dataclass
@@ -200,69 +198,7 @@ def simulate_fsp(spec: FsmSpec, prefetcher: Prefetcher, trace: RequestTrace) -> 
 
 
 # ---------------------------------------------------------------------------
-# LRU and FIFO as explicit FSPs
-
-def _tuple_fsp(n_files: int, cache_size: int, advance) -> tuple[FsmSpec, Prefetcher]:
-    """Build an FSP whose states are ordered tuples of distinct cached files.
-
-    Only states reachable from the start tuple (0, .., C-1) are materialized;
-    the reachable set is closed under `advance`, so the table is total.
-    """
-    if not 1 <= cache_size <= n_files:
-        raise DomainError(f"cache size {cache_size} outside [1, {n_files}]")
-    bound = 1
-    for i in range(cache_size):
-        bound *= n_files - i
-        if bound > _STATE_CAP:
-            raise ScaleGuardError(
-                f"tuple-state space exceeds {_STATE_CAP} states for N={n_files}, C={cache_size}")
-    start = tuple(range(cache_size))
-    ids = {start: 0}
-    order = [start]
-    rows = []
-    i = 0
-    while i < len(order):
-        sigma = order[i]
-        row = []
-        for x in range(n_files):
-            nxt = advance(sigma, x)
-            nid = ids.get(nxt)
-            if nid is None:
-                nid = len(order)
-                ids[nxt] = nid
-                order.append(nxt)
-            row.append(nid)
-        rows.append(row)
-        i += 1
-    spec = FsmSpec(n_states=len(order), n_files=n_files, transitions=rows, initial_state=0)
-    caches = [CacheSet(frozenset(sigma), n_files) for sigma in order]
-    return spec, Prefetcher(caches=caches)
-
-
-def _lru_advance(sigma: tuple, x: int) -> tuple:
-    if x in sigma:
-        i = sigma.index(x)
-        return sigma[:i] + sigma[i + 1:] + (x,)
-    return sigma[1:] + (x,)
-
-
-def _fifo_advance(sigma: tuple, x: int) -> tuple:
-    if x in sigma:
-        return sigma
-    return sigma[1:] + (x,)
-
-
-def lru_fsp(n_files: int, cache_size: int) -> tuple[FsmSpec, Prefetcher]:
-    """LRU as an FSP: states are the cached files ordered by last request,
-    least-recent first; start state (0, .., C-1)."""
-    return _tuple_fsp(n_files, cache_size, _lru_advance)
-
-
-def fifo_fsp(n_files: int, cache_size: int) -> tuple[FsmSpec, Prefetcher]:
-    """FIFO as an FSP: states are the cached files ordered by insertion,
-    oldest first; a request for a cached file leaves the state unchanged."""
-    return _tuple_fsp(n_files, cache_size, _fifo_advance)
-
+# LRU and FIFO
 
 class LruPolicy:
     """Direct LRU simulator, seeded with cache (0 .. C-1), 0 least recent."""

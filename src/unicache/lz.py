@@ -10,10 +10,11 @@ root + completed phrases; per-node statistics and phrase boundaries are
 unaffected by the laziness, and a fully N-ary materialization would hold
 (internal nodes) * N + 1 nodes instead.
 
-`LzTree.advance` is the one place that decides where a phrase ends;
-`parse_phrases` reads the phrases off the finished tree. The partial phrase
-in flight when the trace ends stays in the per-node statistics; no special
-end-of-stream handling.
+`LzTree.advance` is the one place that decides where a phrase ends: phrase
+i is the path from the root to node i + 1, since a node is created when its
+phrase completes, after its parent's. The partial phrase in flight when the
+trace ends stays in the per-node statistics; no special end-of-stream
+handling.
 """
 
 from __future__ import annotations
@@ -72,21 +73,6 @@ class LzTree(Machine):
             self.current = 0
         else:
             self.current = child
-
-
-def parse_phrases(trace: RequestTrace) -> tuple[list[tuple[int, ...]], LzTree]:
-    """Parse a trace, returning the completed phrases in order and the tree.
-
-    Phrase i is the path from the root to node i + 1: a node is created when
-    its phrase completes, after its parent's.
-    """
-    tree = LzTree(trace.n_files)
-    tree.states(trace.requests)
-    phrases: list[tuple[int, ...]] = []
-    for node in tree.nodes[1:]:
-        prefix = phrases[node.parent - 1] if node.parent else ()
-        phrases.append(prefix + (node.symbol,))
-    return phrases, tree
 
 
 def depth_split_counts(tree: LzTree, k: int) -> tuple[int, int]:

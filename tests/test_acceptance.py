@@ -12,13 +12,14 @@ import pytest
 
 from unicache import (EtaConfig, FifoPolicy, FsmRunner, LruPolicy, LzSagePolicy,
                       MarkovSagePolicy, RequestTrace, SagePolicy, SageState, SplitMix64,
-                      fifo_fsp, generate_trace, hit_rate, lockstep_replay,
-                      lru_fsp, lz_regret_bound, madow_sample, markov_regret_bound,
-                      markov_vs_fsp_gap, miss_fraction_bound, offline_fsp_hits,
-                      offline_lz_oracle, offline_markov_hit_rate,
-                      parse_phrases, random_fsm, replay, simulate_fsp,
-                      state_file_counts, static_regret_bound)
-from util import hedge_bruteforce_marginals, nonzero_counts, worked_example
+                      generate_trace, lockstep_replay, lz_regret_bound, madow_sample,
+                      markov_regret_bound, markov_vs_fsp_gap, miss_fraction_bound,
+                      offline_fsp_hits, offline_lz_oracle, offline_markov_hit_rate,
+                      random_fsm, replay, simulate_fsp, state_file_counts,
+                      static_regret_bound)
+from util import (fifo_rule, hedge_bruteforce_marginals, lru_rule, nonzero_counts,
+                  parsed_tree, reference_parse, tree_phrases, tuple_fsp_reference,
+                  worked_example)
 
 
 def _announce(num, description):
@@ -37,7 +38,7 @@ def test_acceptance_01_worked_example_exact():
     hits, best2 = offline_fsp_hits(spec, trace, 2)
     assert hits == 11
     rec = simulate_fsp(spec, best2, trace)
-    assert abs((1 - hit_rate(rec)) - 1 / 12) <= 1e-12
+    assert abs((1 - rec.cumulative_hits / rec.T) - 1 / 12) <= 1e-12
     _announce(1, "3-state worked example reproduced exactly (miss fraction 1/12)")
 
 
@@ -295,19 +296,6 @@ def test_acceptance_08_synthetic_sweep_shape(synthetic_sweep):
                  "all above miss-fraction floors")
 
 
-def _reference_parse(requests):
-    seen = set()
-    phrases = []
-    cur = ()
-    for x in requests:
-        cur = cur + (x,)
-        if cur not in seen:
-            seen.add(cur)
-            phrases.append(cur)
-            cur = ()
-    return phrases
-
-
 def test_acceptance_09_parse_correctness_and_lz_regret():
     horizon = 10_000
     rng = SplitMix64(99)
@@ -316,13 +304,12 @@ def test_acceptance_09_parse_correctness_and_lz_regret():
         n = (2, 3, 5)[i % 3]
         trace = RequestTrace(n, [rng.next_below(n) for _ in range(horizon)])
         traces.append(trace)
-        phrases, _ = parse_phrases(trace)
-        assert phrases == _reference_parse(trace.requests), f"trace {i}"
+        assert tree_phrases(parsed_tree(trace)) == reference_parse(trace.requests), f"trace {i}"
     worst_margin = math.inf
     for trace in traces[:6]:
         n, c = trace.n_files, 1
         lz_misses = offline_lz_oracle(trace, c)[0]
-        c_t = parse_phrases(trace)[1].node_count
+        c_t = parsed_tree(trace).node_count
         policies = [LzSagePolicy(n, c, seed=s) for s in range(20)]
         hits = [r.cumulative_hits for r in lockstep_replay(policies, trace)]
         for policy in policies:
@@ -345,10 +332,10 @@ def test_acceptance_10_lru_fifo_equivalence():
         c = 1 + rng.next_below(min(3, n - 1))
         length = 150 + rng.next_below(100)
         trace = RequestTrace(n, [rng.next_below(n) for _ in range(length)])
-        spec_l, pf_l = lru_fsp(n, c)
+        spec_l, pf_l = tuple_fsp_reference(n, c, lru_rule)
         assert simulate_fsp(spec_l, pf_l, trace).hits == \
             replay(LruPolicy(n, c), trace).hits, f"lru trial {trial}"
-        spec_f, pf_f = fifo_fsp(n, c)
+        spec_f, pf_f = tuple_fsp_reference(n, c, fifo_rule)
         assert simulate_fsp(spec_f, pf_f, trace).hits == \
             replay(FifoPolicy(n, c), trace).hits, f"fifo trial {trial}"
     _announce(10, "LRU and FIFO machine forms bit-identical to direct simulators "

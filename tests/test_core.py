@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unicache import (CacheSet, DataError, DomainError, EmptyTraceError, RequestTrace,
-                      RunRecord, SplitMix64, hit_rate, load_trace, regret, replay,
-                      save_trace)
+from unicache import (CacheSet, DataError, DomainError, RequestTrace, RunRecord, SplitMix64,
+                      load_trace, replay, save_trace)
 from unicache import core
 from util import load_trace_reference, random_trace
 
@@ -39,26 +38,17 @@ def test_cache_set_validates_members():
 
 
 def test_hit_rate():
-    assert hit_rate(RunRecord("p", bytes([1, 1, 1]))) == 1.0
-    assert hit_rate(RunRecord("p", bytes([0, 0]))) == 0.0
+    for hits, rate in ((bytes([1, 1, 1]), 1.0), (bytes([0, 0]), 0.0)):
+        r = RunRecord("p", hits)
+        assert r.cumulative_hits / r.T == rate
     # 11 hits over 12 rounds: miss fraction 1/12
     r = RunRecord("p", bytes([1] * 11 + [0]))
-    assert hit_rate(r) == pytest.approx(11 / 12, abs=1e-12)
-    with pytest.raises(EmptyTraceError):
-        hit_rate(RunRecord("p", b""))
-
-
-def test_regret_signed():
-    assert regret(11, 8) == 3
-    assert regret(5, 5) == 0
-    assert regret(3, 9) == -6
+    assert r.cumulative_hits / r.T == pytest.approx(11 / 12, abs=1e-12)
 
 
 def test_run_record_validation():
-    with pytest.raises(DomainError):
-        RunRecord("p", bytes([1, 0]), T=2, cumulative_hits=2)
-    with pytest.raises(DomainError):
-        RunRecord("p", bytes([1, 0]), T=3, cumulative_hits=1)
+    rec = RunRecord("p", b"\x01\x00\x01")
+    assert (rec.T, rec.cumulative_hits) == (3, 2)
     with pytest.raises(DomainError):
         RunRecord("p", bytes([2, 0]))
 

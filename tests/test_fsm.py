@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicache import (DataError, DomainError, FifoPolicy, FsmRunner, FsmSpec, LruPolicy,
-                      Prefetcher, RequestTrace, ScaleGuardError, SplitMix64, fifo_fsp,
-                      hit_rate, load_fsm, lru_fsp, offline_fsp_hits, random_fsm, replay,
-                      save_fsm, simulate_fsp, state_file_counts, top_c_hits)
-from util import (advance_walk, nonzero_counts, optimal_prefetcher_reference, random_trace,
-                  top_c_hits_reference, worked_example)
+                      Prefetcher, RequestTrace, SplitMix64, load_fsm, offline_fsp_hits,
+                      random_fsm, replay, save_fsm, simulate_fsp, state_file_counts,
+                      top_c_hits)
+from util import (advance_walk, fifo_rule, lru_rule, nonzero_counts,
+                  optimal_prefetcher_reference, random_trace, top_c_hits_reference,
+                  tuple_fsp_reference, worked_example)
 
 
 def _after(spec, state, request):
@@ -148,7 +149,7 @@ def test_offline_hits_worked_example():
     assert hits == 11
     rec = simulate_fsp(spec, best, trace)
     assert rec.cumulative_hits == 11
-    assert 1 - hit_rate(rec) == pytest.approx(1 / 12, abs=1e-12)
+    assert 1 - rec.cumulative_hits / rec.T == pytest.approx(1 / 12, abs=1e-12)
 
 
 def test_offline_hits_single_state_is_static_best():
@@ -259,23 +260,19 @@ def _product_oracle_hits(spec, trace, cache_size, j):
 
 def test_lru_hand_simulation():
     # start cache {0,1} with 0 least recent; trace 0,1,2,0
-    spec, pf = lru_fsp(3, 2)
+    spec, pf = tuple_fsp_reference(3, 2, lru_rule)
     rec = simulate_fsp(spec, pf, RequestTrace(3, [0, 1, 2, 0]))
     assert list(rec.hits) == [1, 1, 0, 0]
 
 
 def test_lru_reorder_keeps_contents():
-    from unicache.fsm import _lru_advance
-
-    assert _lru_advance((0, 1, 2), 0) == (1, 2, 0)
-    assert _lru_advance((0, 1, 2), 3) == (1, 2, 3)
+    assert lru_rule((0, 1, 2), 0) == (1, 2, 0)
+    assert lru_rule((0, 1, 2), 3) == (1, 2, 3)
 
 
 def test_fifo_cached_request_keeps_state():
-    from unicache.fsm import _fifo_advance
-
-    assert _fifo_advance((0, 1), 0) == (0, 1)
-    assert _fifo_advance((0, 1), 2) == (1, 2)
+    assert fifo_rule((0, 1), 0) == (0, 1)
+    assert fifo_rule((0, 1), 2) == (1, 2)
 
 
 def test_lru_fifo_fsp_equal_direct_simulators():
@@ -284,15 +281,10 @@ def test_lru_fifo_fsp_equal_direct_simulators():
         n = 3 + rng.next_below(4)
         c = 1 + rng.next_below(min(3, n - 1))
         trace = random_trace(n, 120, 900 + trial)
-        spec_l, pf_l = lru_fsp(n, c)
+        spec_l, pf_l = tuple_fsp_reference(n, c, lru_rule)
         assert simulate_fsp(spec_l, pf_l, trace).hits == replay(LruPolicy(n, c), trace).hits
-        spec_f, pf_f = fifo_fsp(n, c)
+        spec_f, pf_f = tuple_fsp_reference(n, c, fifo_rule)
         assert simulate_fsp(spec_f, pf_f, trace).hits == replay(FifoPolicy(n, c), trace).hits
-
-
-def test_tuple_fsp_scale_guard():
-    with pytest.raises(ScaleGuardError):
-        lru_fsp(100, 4)
 
 
 def test_fsp_policy_matches_simulate():

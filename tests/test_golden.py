@@ -11,11 +11,10 @@ import pytest
 
 from unicache import (CacheSet, EtaConfig, ExperimentConfig, LzSagePolicy,
                       MarkovSagePolicy, Prefetcher, RequestTrace, SagePolicy,
-                      generate_trace, parse_phrases, random_fsm, replay, run_experiment,
-                      save_fsm, to_csv)
+                      generate_trace, random_fsm, replay, run_experiment, save_fsm, to_csv)
 from unicache import sage as sage_mod
 from unicache.harness import parse_policy_spec
-from util import zipf_trace
+from util import parsed_tree, zipf_trace
 
 ROUNDS = 20_000
 SEEDS = (0, 1, 2)
@@ -131,4 +130,4 @@ def test_oracle_hits_are_pinned(tmp_path):
     policies = [parse_policy_spec(p) for p in labels + [f"fsp-oracle:{tmp_path / 'gen.fsm'}"]]
     rows = run_experiment(ExperimentConfig(cache_size=4, policies=policies, seeds=[0]), trace)
     assert [r.hits for r in rows] == [ORACLE_HITS[label] for label in labels + ["fsp-oracle"]]
-    assert parse_phrases(trace)[1].node_count == ORACLE_LZ_NODES
+    assert parsed_tree(trace).node_count == ORACLE_LZ_NODES

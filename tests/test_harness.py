@@ -312,6 +312,14 @@ seeds = 0
     assert r.returncode == 3, r.stderr
     assert "base1.trace:2: file id 0 outside [1, 3]" in r.stderr, r.stderr
     assert "Traceback" not in r.stderr, r.stderr
+    # A rejected bounds argument prints no CSV, not even its header.
+    sweep = {"--files": "3", "--cache": "2", "--states": "50", "--rounds": "1000"}
+    for key, value in (("--rounds", "0"), ("--states", "0"), ("--cache", "5"),
+                       ("--max-order", "-1")):
+        args = [a for kv in {**sweep, key: value}.items() for a in kv]
+        r = _cli("bounds", *args, cwd=tmp_path)
+        assert (r.returncode, r.stdout) == (2, ""), (key, r.stdout, r.stderr)
+        assert "config error" in r.stderr, r.stderr
     # A header field named twice is a data error, not a silent last-wins.
     (tmp_path / "twice.trace").write_text("# N=3 N=9 BASE=1 BASE=0\n8\n")
     r = _cli("parse-stats", "--trace", "twice.trace", cwd=tmp_path)

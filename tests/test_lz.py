@@ -6,45 +6,30 @@ from hypothesis import strategies as st
 
 from unicache import (DomainError, LzSagePolicy, LzTree, RequestTrace,
                       depth_split_counts, dump_tree, offline_lz_oracle,
-                      offline_markov_hit_rate, parse_phrases, replay,
-                      SagePolicy, SplitMix64)
-from util import advance_walk, mean, random_trace
-
-
-def reference_parse(requests):
-    """Set-based LZ-78 parse: each phrase is the shortest string not seen before."""
-    seen = set()
-    phrases = []
-    cur = ()
-    for x in requests:
-        cur = cur + (x,)
-        if cur not in seen:
-            seen.add(cur)
-            phrases.append(cur)
-            cur = ()
-    return phrases
+                      offline_markov_hit_rate, replay, SagePolicy)
+from util import (advance_walk, mean, parsed_tree, random_trace, reference_parse,
+                  tree_phrases)
 
 
 def test_parse_example():
-    trace = RequestTrace(2, [0, 1, 0, 0, 1, 1])
-    phrases, tree = parse_phrases(trace)
-    assert phrases == [(0,), (1,), (0, 0), (1, 1)]
+    tree = parsed_tree(RequestTrace(2, [0, 1, 0, 0, 1, 1]))
+    assert tree_phrases(tree) == [(0,), (1,), (0, 0), (1, 1)]
     assert tree.node_count == 5
     assert tree.phrase_count == 4
 
 
 def test_parse_empty_trace():
-    phrases, tree = parse_phrases(RequestTrace(2, []))
-    assert phrases == [] and tree.node_count == 1 and tree.phrase_count == 0
+    tree = parsed_tree(RequestTrace(2, []))
+    assert tree_phrases(tree) == [] and tree.node_count == 1 and tree.phrase_count == 0
 
 
 def test_parse_constant_symbol_phrase_lengths():
     # phrases 0, 00, 000, ... lengths 1+2+3 cover T=6 exactly
-    phrases, tree = parse_phrases(RequestTrace(2, [0] * 6))
-    assert [len(p) for p in phrases] == [1, 2, 3]
+    tree = parsed_tree(RequestTrace(2, [0] * 6))
+    assert [len(p) for p in tree_phrases(tree)] == [1, 2, 3]
     assert tree.node_count == 4
     # one more symbol starts a partial phrase along an existing path: no new node
-    _, tree7 = parse_phrases(RequestTrace(2, [0] * 7))
+    tree7 = parsed_tree(RequestTrace(2, [0] * 7))
     assert tree7.node_count == 4 and tree7.phrase_count == 3
 
 
@@ -52,8 +37,7 @@ def test_parse_matches_reference_on_random_traces():
     for trial in range(20):
         n = (2, 3, 5)[trial % 3]
         trace = random_trace(n, 500, 40 + trial)
-        phrases, _ = parse_phrases(trace)
-        assert phrases == reference_parse(trace.requests)
+        assert tree_phrases(parsed_tree(trace)) == reference_parse(trace.requests)
 
 
 def test_lz_advance_validates():
@@ -83,14 +67,14 @@ def test_lz_states_match_the_advance_walk(n, history, requests):
 
 def test_consumed_tracks_rounds():
     trace = random_trace(3, 77, 1)
-    _, tree = parse_phrases(trace)
+    tree = parsed_tree(trace)
     assert tree.consumed() == 77
     assert tree.node_count <= 78  # at most one node per round plus the root
 
 
 def test_depth_split_edges_and_bound():
     trace = random_trace(3, 400, 9)
-    _, tree = parse_phrases(trace)
+    tree = parsed_tree(trace)
     assert depth_split_counts(tree, 0) == (0, 400)
     deepest = max(n.depth for n in tree.nodes)
     assert depth_split_counts(tree, deepest + 1) == (400, 0)
@@ -110,7 +94,7 @@ def test_sublinear_node_growth():
     counts = {}
     for t in (1000, 10_000, 100_000, 1_000_000):
         trace = random_trace(3, t, 13)
-        _, tree = parse_phrases(trace)
+        tree = parsed_tree(trace)
         assert tree.node_count <= t + 1
         counts[t] = tree.node_count
     assert counts[1000] / 1000 > counts[10_000] / 10_000 > counts[100_000] / 100_000
@@ -130,7 +114,7 @@ def test_offline_oracle_consistency():
         trace = random_trace(3, 300, 60 + trial)
         misses, hits, nodes = offline_lz_oracle(trace, 1)
         assert misses + hits == len(trace)
-        assert nodes == parse_phrases(trace)[1].node_count
+        assert nodes == parsed_tree(trace).node_count
         # the per-node oracle refines the single best fixed cache
         assert hits >= offline_markov_hit_rate(trace, 0, 1)[1]
 
@@ -166,7 +150,7 @@ def test_lz_policy_beats_plain_sage_on_periodic_stream():
 
 def test_tree_dump_format():
     trace = RequestTrace(2, [0, 1, 0])
-    _, tree = parse_phrases(trace)
+    tree = parsed_tree(trace)
     buf = io.StringIO()
     dump_tree(tree, buf)
     lines = buf.getvalue().splitlines()

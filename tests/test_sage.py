@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicache import (DomainError, EtaConfig, NumericError, RequestTrace, SagePolicy,
-                      SageState, ScaleGuardError, SplitMix64, madow_sample)
+                      SageState, SplitMix64, madow_sample)
 from unicache import sage as sage_mod
 from util import hedge_bruteforce_marginals, zipf_trace
 
@@ -583,5 +583,5 @@ def test_sage_policy_reproducible():
 def test_bruteforce_hedge_edges():
     assert hedge_bruteforce_marginals([0, 0, 0], 1.0, 3, 2) == pytest.approx([2 / 3] * 3)
     assert hedge_bruteforce_marginals([4, 1], 0.7, 2, 2) == pytest.approx([1.0, 1.0])
-    with pytest.raises(ScaleGuardError):
+    with pytest.raises(ValueError, match="capped at 1e6 subsets"):
         hedge_bruteforce_marginals([0] * 50, 1.0, 50, 25)

@@ -6,8 +6,8 @@ from collections import Counter, defaultdict
 from heapq import nlargest
 from itertools import accumulate, combinations
 
-from unicache import (ConfigError, DataError, DomainError, FsmSpec, RequestTrace, ResultRow,
-                      ScaleGuardError, SplitMix64)
+from unicache import (CacheSet, ConfigError, DataError, DomainError, FsmSpec, LzTree,
+                      Prefetcher, RequestTrace, ResultRow, SplitMix64)
 from unicache.core import _parse_trace_header
 from unicache.harness import CSV_HEADER
 
@@ -67,7 +67,7 @@ def hedge_bruteforce_marginals(counts, eta: float, n_files: int, cache_size: int
     if not 1 <= cache_size <= n_files:
         raise DomainError(f"cache size {cache_size} outside [1, {n_files}]")
     if math.comb(n_files, cache_size) > 10**6:
-        raise ScaleGuardError("brute-force expert enumeration capped at 1e6 subsets")
+        raise ValueError("brute-force expert enumeration capped at 1e6 subsets")
     best = sum(sorted(counts, reverse=True)[:cache_size])
     total = 0.0
     acc = [0.0] * n_files
@@ -77,6 +77,74 @@ def hedge_bruteforce_marginals(counts, eta: float, n_files: int, cache_size: int
         for i in subset:
             acc[i] += mass
     return [a / total for a in acc]
+
+
+def lru_rule(sigma: tuple, x: int) -> tuple:
+    """LRU's next state: the cached files by last request, least recent first."""
+    if x in sigma:
+        i = sigma.index(x)
+        return sigma[:i] + sigma[i + 1:] + (x,)
+    return sigma[1:] + (x,)
+
+
+def fifo_rule(sigma: tuple, x: int) -> tuple:
+    """FIFO's next state: the cached files by insertion, oldest first; a
+    request for a cached file leaves the state unchanged."""
+    return sigma if x in sigma else sigma[1:] + (x,)
+
+
+def tuple_fsp_reference(n_files: int, cache_size: int, rule) -> tuple[FsmSpec, Prefetcher]:
+    """LRU or FIFO as an explicit prefetcher: the states are the ordered
+    tuples of cached files reachable from (0, .., C-1) under `rule`, and each
+    state caches its own files. Every reachable tuple is materialized, so
+    keep N small."""
+    start = tuple(range(cache_size))
+    ids = {start: 0}
+    order = [start]
+    rows = []
+    for sigma in order:  # grows as new tuples are reached
+        row = []
+        for x in range(n_files):
+            nxt = rule(sigma, x)
+            if nxt not in ids:
+                ids[nxt] = len(order)
+                order.append(nxt)
+            row.append(ids[nxt])
+        rows.append(row)
+    spec = FsmSpec(n_states=len(order), n_files=n_files, transitions=rows, initial_state=0)
+    return spec, Prefetcher(caches=[CacheSet(frozenset(sigma), n_files) for sigma in order])
+
+
+def reference_parse(requests) -> list[tuple[int, ...]]:
+    """Set-based LZ-78 parse: each phrase is the shortest string not seen before."""
+    seen = set()
+    phrases = []
+    cur = ()
+    for x in requests:
+        cur = cur + (x,)
+        if cur not in seen:
+            seen.add(cur)
+            phrases.append(cur)
+            cur = ()
+    return phrases
+
+
+def parsed_tree(trace: RequestTrace) -> LzTree:
+    """The LZ-78 parse tree walked over the whole trace."""
+    tree = LzTree(trace.n_files)
+    tree.states(trace.requests)
+    return tree
+
+
+def tree_phrases(tree: LzTree) -> list[tuple[int, ...]]:
+    """The completed phrases of a parse tree, in order. Phrase i is the path
+    from the root to node i + 1: a node is created when its phrase
+    completes, after its parent's."""
+    phrases = []
+    for node in tree.nodes[1:]:
+        prefix = phrases[node.parent - 1] if node.parent else ()
+        phrases.append(prefix + (node.symbol,))
+    return phrases
 
 
 def advance_walk(machine, requests) -> list:
