@@ -123,18 +123,20 @@ def _cmd_parse_stats(args) -> int:
     tree = LzTree(trace.n_files)
     tree.states(trace.requests)
     max_depth = max(node.depth for node in tree.nodes)
-    print(f"rounds          {len(trace)}")
-    print(f"files           {trace.n_files}")
-    print(f"nodes           {tree.node_count}")
-    print(f"phrases         {tree.phrase_count}")
-    print(f"max_depth       {max_depth}")
+    lines = [f"rounds          {len(trace)}",
+             f"files           {trace.n_files}",
+             f"nodes           {tree.node_count}",
+             f"phrases         {tree.phrase_count}",
+             f"max_depth       {max_depth}"]
     for k in (1, 2, 4):
         shallow, deep = depth_split_counts(tree, k)
-        print(f"depth_split_{k}   {shallow} {deep}")
+        lines.append(f"depth_split_{k}   {shallow} {deep}")
+    # The dump is written before anything is printed: a failed dump prints nothing.
     if args.dump:
         with open(args.dump, "w", encoding="ascii") as fh:
             dump_tree(tree, fh)
-        print(f"wrote {args.dump}")
+        lines.append(f"wrote {args.dump}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -36,8 +36,8 @@ One evaluator computes the marginals, at order m = min(C, N - C):
 
 The tables run in plain doubles while every e_a(w), a <= m, stays at most
 2**900. A top group spread in two clusters can pass that bound (only at
-m >= 55 after the peel); those calls run the same tables on
-mantissa/exponent pairs.
+m >= 55 after the peel); those calls run the same tables in `decimal`,
+from the log weights.
 
 The seeds of one per-state policy visit the same states with the same
 counts. `lockstep_replay` runs them on one machine walk, one marginal
@@ -70,101 +70,27 @@ _MARGINAL_SUM_TOL = 1e-9
 # ESP evaluation
 
 
-def _log_to_pair(log_weight: float) -> tuple[float, int]:
-    """exp(log_weight) as (mantissa, base-2 exponent) without underflow."""
-    x = log_weight * _LOG2E
-    e2 = math.floor(x)
-    return 2.0 ** (x - e2) * 0.5, int(e2) + 1
-
-
-_LOG2E = 1.0 / math.log(2.0)
-
-
-def _esp_loo_plain(w: list[float], order: int):
-    """e_order(w) and e_{order-1}(w without i) for each i, in plain doubles
-    (see the module docstring); None once some e_a(w) passes `_PLAIN_MAX`."""
-    col = [1.0] * len(w)
+def _esp_loo(w: list, order: int, one=1.0, limit=_PLAIN_MAX):
+    """e_order(w) and e_{order-1}(w without i) for each i, in the number type
+    of `one` (see the module docstring); None once some e_a(w) passes `limit`."""
+    zero = one - one
+    col = [one] * len(w)
     prefix = [col]
     for _ in range(order - 1):
-        col = list(accumulate(map(mul, w, col), initial=0.0))
-        if not col.pop() <= _PLAIN_MAX:  # the running sum ends at e_a(w)
+        col = list(accumulate(map(mul, w, col), initial=zero))
+        if not col.pop() <= limit:  # the running sum ends at e_a(w)
             return None
         prefix.append(col)
     top = reduce(add, map(mul, w, col))  # e_order(w)
-    if not top <= _PLAIN_MAX:
+    if not top <= limit:
         return None
     loo = col
     suffix = prefix[0]
     for b in range(1, order):
-        suffix = list(accumulate(map(mul, reversed(w), suffix), initial=0.0))
+        suffix = list(accumulate(map(mul, reversed(w), suffix), initial=zero))
         suffix.pop()
         loo = list(map(add, loo, map(mul, prefix[order - 1 - b], reversed(suffix))))
     return top, loo
-
-
-def _esp_push(m: list[float], x: list[int], wm: float, wx: int, top: int) -> None:
-    """One DP step on a row with per-column scaling, e_k = m[k] * 2**x[k] and
-    mantissas in [0.5, 1): fold the weight wm * 2**wx into e_1..e_top in
-    place. Mantissa 0 means a true zero."""
-    if wm == 0.0:
-        return
-    frexp, ldexp = math.frexp, math.ldexp
-    for k in range(top, 0, -1):
-        if m[k - 1] == 0.0:
-            continue
-        tm = wm * m[k - 1]
-        tx = wx + x[k - 1]
-        if m[k] == 0.0:
-            nm, ne = frexp(tm)
-            m[k] = nm
-            x[k] = tx + ne
-            continue
-        d = tx - x[k]
-        if d >= 55:
-            nm, ne = frexp(tm)
-            m[k] = nm
-            x[k] = tx + ne
-        elif d > -55:
-            nm, ne = frexp(m[k] + ldexp(tm, d))
-            m[k] = nm
-            x[k] += ne
-        # else: new term below rounding, keep column as-is
-
-
-def _unit_row(size: int) -> tuple[list[float], list[int]]:
-    """Scaled ESP row of no weights: e_0 = 1 = 0.5 * 2**1, e_k = 0 below `size`."""
-    return [0.5] + [0.0] * (size - 1), [1] + [0] * (size - 1)
-
-
-def _esp_loo_scaled(pairs, order: int):
-    """Scaled e_0..e_{order+1} of all pairs, and e_order with each index deleted.
-
-    Stores the prefix rows P_i[a] = e_a(w_1..w_i) and grows one suffix row
-    S[b] = e_b(w_{i+1}..w_N) from the back, so that
-    e_order(w_{-i}) = sum_a P_{i-1}[a] * S_{i+1}[order - a]. Every term is
-    nonnegative, so there is no cancellation: O(N*order), exact to rounding.
-    """
-    n = len(pairs)
-    frexp, ldexp = math.frexp, math.ldexp
-    full = order + 1
-    m, x = _unit_row(full + 1)
-    prefix = []
-    for j, (wm, wx) in enumerate(pairs):
-        prefix.append((m[:full], x[:full]))
-        _esp_push(m, x, wm, wx, min(full, j + 1))
-    sm, sx = _unit_row(full)
-    loo = [(0.0, 0)] * n
-    for i in range(n - 1, -1, -1):
-        pm, px = prefix[i]
-        terms = [(pm[a] * sm[order - a], px[a] + sx[order - a])
-                 for a in range(full) if pm[a] != 0.0 and sm[order - a] != 0.0]
-        if terms:
-            top = max(tx for _, tx in terms)
-            fm, fe = frexp(sum(ldexp(tm, tx - top) for tm, tx in terms))
-            loo[i] = (fm, top + fe)
-        wm, wx = pairs[i]
-        _esp_push(sm, sx, wm, wx, min(order, n - i))
-    return m, x, loo
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +108,17 @@ def _finish_marginals(p: list[float], cache_size: int) -> list[float]:
     return p
 
 
-def _marginals_scaled(pairs, order: int) -> list[float]:
-    """Order-`order` marginals of mantissa/exponent weights, unnormalized."""
-    m, x, loo = _esp_loo_scaled(pairs, order - 1)
-    em, ex = m[order], x[order]
-    if em == 0.0:
-        raise NumericError("all order-C weight products vanished; marginals undefined")
-    ldexp = math.ldexp
-    p = [0.0] * len(pairs)
-    for i, ((wm, wx), (fm, fx)) in enumerate(zip(pairs, loo)):
-        if wm != 0.0 and fm != 0.0:
-            p[i] = ldexp(wm * fm / em, wx + fx - ex)  # underflows to 0.0, never raises
-    return p
+def _marginals_wide(log_weights: list[float], order: int) -> list[float]:
+    """Order-`order` marginals of the weights exp(log_weights), unnormalized:
+    the same tables in `decimal`, whose exponent range no e_a(w) can leave."""
+    import decimal  # only the fallback pays for the import
+
+    with decimal.localcontext(decimal.Context(Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)):
+        w = [decimal.Decimal(x).exp() for x in log_weights]
+        e, loo = _esp_loo(w, order, decimal.Decimal(1), decimal.Decimal("Infinity"))
+        if not e:
+            raise NumericError("all order-C weight products vanished; marginals undefined")
+        return [float(wi * f / e) for wi, f in zip(w, loo)]
 
 
 def _hedge_marginals(counts, eta: float, order: int) -> list[float]:
@@ -222,9 +147,9 @@ def _hedge_marginals(counts, eta: float, order: int) -> list[float]:
     ref = sum(ranked[:order]) / order
     exp = math.exp
     w = [exp(eta * (x - ref)) for x in counts]
-    esp = _esp_loo_plain(w, order)
+    esp = _esp_loo(w, order)
     if esp is None:
-        q = _marginals_scaled([_log_to_pair(eta * (x - ref)) for x in counts], order)
+        q = _marginals_wide([eta * (x - ref) for x in counts], order)
         return q if eta > 0 else [1.0 - v for v in q]
     e, loo = esp
     if eta > 0:

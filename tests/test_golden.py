@@ -101,23 +101,23 @@ def test_skewed_hit_sequence_is_pinned(monkeypatch):
     # Zipf counts spread far enough that max-normalised weights leave the
     # double range; the rescaled plain tables, with the top file peeled once
     # it is certain, decide every round.
-    scaled_calls = []
-    scaled = sage_mod._marginals_scaled
+    wide_calls = []
+    wide = sage_mod._marginals_wide
 
-    def counting(pairs, order):
-        scaled_calls.append(1)
-        return scaled(pairs, order)
+    def counting(log_weights, order):
+        wide_calls.append(1)
+        return wide(log_weights, order)
 
-    monkeypatch.setattr(sage_mod, "_marginals_scaled", counting)
+    monkeypatch.setattr(sage_mod, "_marginals_wide", counting)
     trace = zipf_trace(64, 1.5, 1_400, seed=0)
     hits = replay(SagePolicy(64, 6, EtaConfig(mode="fixed", eta=0.3), seed=0), trace).hits
-    assert not scaled_calls
+    assert not wide_calls
     assert _sha([hits]) == ZIPF_HIT_DIGEST
     # A top group of 60 split into two clusters 42-46 nats apart (too close
-    # to peel) drives e_30 past 2**900: the pairs tables decide those rounds.
+    # to peel) drives e_30 past 2**900: the decimal tables decide those rounds.
     trace = RequestTrace(120, [i % 30 for i in range(1_400)])
     hits = replay(SagePolicy(120, 60, EtaConfig(mode="fixed", eta=1.0), seed=0), trace).hits
-    assert len(scaled_calls) >= 100
+    assert len(wide_calls) >= 100
     assert _sha([hits]) == SPLIT_HIT_DIGEST
 
 

@@ -320,6 +320,10 @@ seeds = 0
         r = _cli("bounds", *args, cwd=tmp_path)
         assert (r.returncode, r.stdout) == (2, ""), (key, r.stdout, r.stderr)
         assert "config error" in r.stderr, r.stderr
+    # An unwritable dump is a data error that prints no statistics first.
+    r = _cli("parse-stats", "--trace", "ok.trace", "--dump", "missing-dir/tree.txt", cwd=tmp_path)
+    assert (r.returncode, r.stdout) == (3, ""), (r.stdout, r.stderr)
+    assert "data error" in r.stderr and "Traceback" not in r.stderr, r.stderr
     # A header field named twice is a data error, not a silent last-wins.
     (tmp_path / "twice.trace").write_text("# N=3 N=9 BASE=1 BASE=0\n8\n")
     r = _cli("parse-stats", "--trace", "twice.trace", cwd=tmp_path)

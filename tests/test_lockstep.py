@@ -148,21 +148,21 @@ def test_lockstep_matches_replay(readme_trace, label, mode):
 
 
 def test_lockstep_on_the_scaled_path(monkeypatch):
-    # The split top group of `test_golden.py`: the pairs tables decide ~10%
+    # The split top group of `test_golden.py`: the decimal tables decide ~10%
     # of the rounds.
-    scaled_calls = []
-    scaled = sage_mod._marginals_scaled
+    wide_calls = []
+    wide = sage_mod._marginals_wide
 
-    def counting(pairs, order):
-        scaled_calls.append(1)
-        return scaled(pairs, order)
+    def counting(log_weights, order):
+        wide_calls.append(1)
+        return wide(log_weights, order)
 
     trace = RequestTrace(120, [i % 30 for i in range(1_400)])
     eta = EtaConfig(mode="fixed", eta=1.0)
     expect = replay(SagePolicy(120, 60, eta, seed=0), trace).hits
-    monkeypatch.setattr(sage_mod, "_marginals_scaled", counting)
+    monkeypatch.setattr(sage_mod, "_marginals_wide", counting)
     assert lockstep_replay([SagePolicy(120, 60, eta, seed=0)], trace)[0].hits == expect
-    assert len(scaled_calls) >= 100
+    assert len(wide_calls) >= 100
 
 
 @pytest.mark.parametrize("label", POLICIES)

@@ -10,20 +10,21 @@ from unicache import sage as sage_mod
 from util import hedge_bruteforce_marginals, zipf_trace
 
 # ---------------------------------------------------------------------------
-# elementary symmetric polynomials, through both tables
+# elementary symmetric polynomials, in doubles and in `decimal`
 #
 # p(i) = w(i) * e_{m-1}(w_{-i}) / e_m(w): the prefix/suffix tables add
-# nonnegative terms only, in plain doubles or in mantissa/exponent pairs.
+# nonnegative terms only. They run in plain doubles; the fallback runs the
+# same tables in `decimal`.
 
 
 def _both_paths(weights, c):
-    """Marginals of the given weights from the plain and the pairs tables."""
-    esp = sage_mod._esp_loo_plain(list(weights), c)
+    """Marginals of the given weights from the plain and the `decimal` tables."""
+    esp = sage_mod._esp_loo(list(weights), c)
     assert esp is not None
     e, loo = esp
     plain = [w * f / e for w, f in zip(weights, loo)]
-    scaled = sage_mod._marginals_scaled([math.frexp(w) for w in weights], c)
-    return sage_mod._finish_marginals(plain, c), sage_mod._finish_marginals(scaled, c)
+    wide = sage_mod._marginals_wide([math.log(w) for w in weights], c)
+    return sage_mod._finish_marginals(plain, c), sage_mod._finish_marginals(wide, c)
 
 
 def _max_error(got, expect):
@@ -42,17 +43,17 @@ def test_esp_all_examples():
 
 def test_esp_all_errors():
     # the plain tables decline once some e_a(w), a <= C, passes 2**900
-    assert sage_mod._esp_loo_plain([1.0] * 5, 3) is not None
-    assert sage_mod._esp_loo_plain([2.0 ** 290] * 5, 3) is not None  # e_3 = 10 * 2**870
-    assert sage_mod._esp_loo_plain([2.0 ** 300] * 5, 3) is None  # e_3 = 10 * 2**900
-    assert sage_mod._esp_loo_plain([1e300] * 5, 3) is None  # e_1 = 5e300 already
-    assert sage_mod._esp_loo_plain([math.inf, 1.0], 1) is None
+    assert sage_mod._esp_loo([1.0] * 5, 3) is not None
+    assert sage_mod._esp_loo([2.0 ** 290] * 5, 3) is not None  # e_3 = 10 * 2**870
+    assert sage_mod._esp_loo([2.0 ** 300] * 5, 3) is None  # e_3 = 10 * 2**900
+    assert sage_mod._esp_loo([1e300] * 5, 3) is None  # e_1 = 5e300 already
+    assert sage_mod._esp_loo([math.inf, 1.0], 1) is None
     for w in (1e300, 1e-100):
-        p = sage_mod._marginals_scaled([math.frexp(w)] * 5, 3)
+        p = sage_mod._marginals_wide([math.log(w)] * 5, 3)
         assert p == pytest.approx([0.6] * 5, abs=1e-15)
     # no order-C product is nonzero: marginals are undefined
     with pytest.raises(NumericError):
-        sage_mod._marginals_scaled([(0.5, 1), (0.0, 0), (0.0, 0)], 2)
+        sage_mod._marginals_wide([0.0, -math.inf, -math.inf], 2)
     with pytest.raises(NumericError):
         sage_mod._finish_marginals([0.5, 0.2], 1)
     with pytest.raises(DomainError):
@@ -63,10 +64,10 @@ def test_esp_all_errors():
 def test_esp_of_ones_gives_binomials(n, order):
     if order >= n:
         return
-    m, x, loo = sage_mod._esp_loo_scaled([math.frexp(1.0)] * n, order)
-    assert [math.ldexp(a, b) for a, b in zip(m, x)] == [
-        float(math.comb(n, k)) for k in range(order + 2)]
-    assert [math.ldexp(a, b) for a, b in loo] == [float(math.comb(n - 1, order))] * n
+    # on Python ints with no limit the tables are exact
+    e, loo = sage_mod._esp_loo([1] * n, order + 1, 1, math.inf)
+    assert e == math.comb(n, order + 1)
+    assert loo == [math.comb(n - 1, order)] * n
     for p in _both_paths([1.0] * n, order + 1):
         assert p == pytest.approx([(order + 1) / n] * n, abs=1e-14)
 
@@ -290,32 +291,34 @@ def _exact_hedge(counts, eta, c):
     return q if order == c else [1.0 - v for v in q]
 
 
-def _no_fallback(pairs, order):
-    raise AssertionError("the pairs tables ran")
+def _no_fallback(log_weights, order):
+    raise AssertionError("the decimal tables ran")
 
 
 @pytest.mark.parametrize("n,c,rounds", [(64, 6, 1_400), (300, 20, 6_000), (1000, 50, 20_000),
                                         (1000, 950, 20_000)])
 def test_scaled_marginals_match_exact_reference(n, c, rounds, monkeypatch):
     # Zipf counts at eta 0.3 put e_C of the max-normalised weights far below
-    # the double range. The pairs tables hold 1e-12 on them; the evaluator
+    # the double range. The decimal tables hold 1e-12 on them; the evaluator
     # rescales and peels, stays in plain doubles and holds 1e-12 too.
     eta = 0.3
     counts = _zipf_counts(n, rounds, seed=0)
     expect = _exact_hedge(counts, eta, c)
     s, order = _side(counts, c)
     top = max(s)
-    q = sage_mod._marginals_scaled([_nats_to_pair(eta * (x - top)) for x in s], order)
+    q = sage_mod._marginals_wide([eta * (x - top) for x in s], order)
     assert _max_error(q if order == c else [1.0 - v for v in q], expect) <= 1e-12
     state = SageState(n, c, eta=eta)
     state.counts, state.count_max = counts, max(counts)
-    monkeypatch.setattr(sage_mod, "_marginals_scaled", _no_fallback)
+    monkeypatch.setattr(sage_mod, "_marginals_wide", _no_fallback)
     assert _max_error(state.marginals(), expect) <= 1e-12
 
 
 @pytest.mark.parametrize("n,c,rounds,eta", [(64, 6, 1_400, 0.05), (300, 20, 6_000, 0.004),
                                              (1000, 50, 20_000, 0.002),
-                                             (1000, 950, 20_000, 0.002)])
+                                             (1000, 950, 20_000, 0.002),
+                                             (10_000, 100, 200_000, 0.002),
+                                             (10_000, 9_900, 200_000, 0.002)])
 def test_plain_marginals_match_exact_reference(n, c, rounds, eta):
     # Milder eta keeps the plain tables in range with no peel. They run at
     # order min(C, N - C), with weights around the mean of the top counts of
@@ -326,7 +329,7 @@ def test_plain_marginals_match_exact_reference(n, c, rounds, eta):
     s, order = _side(counts, c)
     ref = sum(sorted(s)[n - order:]) / order
     w = [math.exp(eta * (x - ref)) for x in s]
-    e, loo = sage_mod._esp_loo_plain(w, order)
+    e, loo = sage_mod._esp_loo(w, order)
     q = [wi * f / e for wi, f in zip(w, loo)]
     assert _max_error(q if order == c else [1.0 - v for v in q], expect) <= 1e-12
     state = SageState(n, c, eta=eta)
@@ -339,7 +342,7 @@ def test_zipf_trajectory_matches_exact_reference(monkeypatch):
     # counts spread until the top file is peeled, all in plain doubles.
     trace = zipf_trace(64, 1.5, 1_400, seed=0)
     state = SageState(64, 6, eta=0.3)
-    monkeypatch.setattr(sage_mod, "_marginals_scaled", _no_fallback)
+    monkeypatch.setattr(sage_mod, "_marginals_wide", _no_fallback)
     worst = 0.0
     for x in trace.requests:
         worst = max(worst, _max_error(state.marginals(), _exact_hedge(state.counts, 0.3, 6)))
@@ -347,21 +350,41 @@ def test_zipf_trajectory_matches_exact_reference(monkeypatch):
     assert worst <= 1e-12
 
 
-def test_split_top_group_takes_the_pairs_tables(monkeypatch):
+def test_split_top_group_takes_the_decimal_tables(monkeypatch):
     # 30 files at count 44 and 90 at 0, C=60: the top 60 are 30 weights
     # e**22 and 30 weights e**-22 around their mean, so e_30 ~ e**660 passes
     # 2**900, and 44 counts are too few to peel (ln 60 + 42 nats). Only the
-    # pairs tables can answer.
-    counts = [44] * 30 + [0] * 90
+    # decimal tables can answer. At N=119 the complement side, order 59,
+    # meets the same split group.
     calls = []
-    scaled = sage_mod._marginals_scaled
-    monkeypatch.setattr(sage_mod, "_marginals_scaled",
-                        lambda pairs, order: calls.append(order) or scaled(pairs, order))
+    wide = sage_mod._marginals_wide
+    monkeypatch.setattr(sage_mod, "_marginals_wide",
+                        lambda log_weights, order: calls.append(order) or wide(log_weights, order))
+    for n, c, counts, order in (
+            (120, 60, [44] * 30 + [0] * 90, 60),
+            (119, 60, [0] * 30 + [44] * 30 + [200] * 59, 59)):
+        calls.clear()
+        state = SageState(n, c, eta=1.0)
+        state.counts, state.count_max = counts, max(counts)
+        p = state.marginals()
+        assert calls == [order]
+        assert _max_error(p, _exact_hedge(counts, 1.0, c)) <= 1e-12
+
+
+def test_split_marginals_ignore_the_callers_decimal_context():
+    # The decimal tables build their own context: a caller's low precision
+    # and traps change neither the result nor the caller's context.
+    import decimal
+
     state = SageState(120, 60, eta=1.0)
-    state.counts, state.count_max = counts, 44
-    p = state.marginals()
-    assert calls == [60]
-    assert _max_error(p, _exact_hedge(counts, 1.0, 60)) <= 1e-12
+    state.counts, state.count_max = [44] * 30 + [0] * 90, 44
+    expect = state.marginals()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3
+        ctx.traps[decimal.Inexact] = True
+        before = repr(decimal.getcontext())
+        assert state.marginals() == expect
+        assert repr(decimal.getcontext()) == before
 
 
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=9),
