@@ -1,15 +1,17 @@
 """Online cache prefetching against finite-state benchmarks.
 
 Every policy and every oracle is a machine plus a per-state rule. A
-machine (see `fsm`) has a hashable `current` state, an `advance(request)`
+machine (see `fsm`) has an int `current` state, an `advance(request)`
 method and a bulk `states(requests)` method that returns the state before
-each request: the order-k context `Window` (order 0 for plain SAGE), the
-LZ-78 parse tree `LzTree`, or a given FSM run by `FsmRunner`. The online
-policies run one SAGE instance (sampled Hedge over C-subsets) per state,
-in `MachineSagePolicy`; every offline oracle, `fsp-oracle` included,
-caches each state's top-C files, from one counting pass
-(`state_file_counts`, `top_c_hits`): they score the total count less, in
-each state with more than C distinct files, the counts below its C-th.
+each request: the order-k context `Window(k, n_files)`, whose state codes
+the last k requests in base n_files + 1 (order 0 for plain SAGE), the
+LZ-78 parse tree `LzTree`, whose states are node ids, or a given FSM run
+by `FsmRunner`. The online policies run one SAGE instance (sampled Hedge
+over C-subsets) per state, in `MachineSagePolicy`; every offline oracle,
+`fsp-oracle` included, caches each state's top-C files, from one counting
+pass (`state_file_counts`, `top_c_hits`) keyed by the int
+`state * n_files + file`: they score the total count less, in each state
+with more than C distinct files, the counts below its C-th.
 Around them: LRU and FIFO as direct simulators, `simulate_fsp` to replay
 a machine file's own prefetcher, closed-form bound evaluators, a
 synthetic trace generator with a zero-miss certificate, and a

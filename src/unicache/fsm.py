@@ -9,18 +9,20 @@ are direct simulators; as machines their states would be the ordered
 tuples of cached files, a form the tests build to check them.
 
 A machine, in the sense every policy and oracle here uses, is any object
-with a hashable `current` state, an `advance(request)` method and a bulk
+with an int `current` state, an `advance(request)` method and a bulk
 `states(requests)` method: an `FsmSpec` walked by `FsmRunner`, the order-k
-`Window`, or the LZ-78 parse tree (`lz.LzTree`). `states` returns the state
-before each request and leaves the machine advanced past them all, as the
-same `advance` calls would; `Machine` gives the loop over `advance`, and
-`Window` computes it from slices of the history instead. `state_file_counts`
-and `top_c_hits` are the one counting pass behind every per-state oracle,
-the fsp oracle (`offline_fsp_hits`) included, which also reads its
-per-state caches off the same counts: a state's top-C files score the
-state's total count less the counts of the files past its C-th, so only
-states with more than C distinct files are sorted. Machines take requests
-from a validated trace, so only the parse tree checks them again.
+`Window`, or the LZ-78 parse tree (`lz.LzTree`), whose states are node ids.
+`states` returns the state before each request and leaves the machine
+advanced past them all, as the same `advance` calls would; `Machine` gives
+the loop over `advance`, and `Window` runs its one arithmetic rule through
+`itertools.accumulate`. `state_file_counts` and `top_c_hits` are the one
+counting pass behind every per-state oracle, the fsp oracle
+(`offline_fsp_hits`) included, which also reads its per-state caches off
+the same counts. Each (state, file) pair is counted under the one int
+`state * n_files + file`. A state's top-C files score the state's total
+count less the counts of the files past its C-th, so only states with more
+than C distinct files are sorted. Machines take requests from a validated
+trace, so only the parse tree checks them again.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from heapq import nlargest
-from itertools import compress
-from operator import contains, itemgetter
+from itertools import accumulate, compress, repeat
+from operator import add, contains, floordiv, mul
 
 from .core import CacheSet, DataError, DomainError, RequestTrace, RunRecord
 
@@ -106,63 +108,61 @@ class FsmRunner(Machine):
 
 
 class Window:
-    """Order-k context machine: the state is the tuple of the up-to-k most
-    recent requests, most recent last. Order 0 has the single state ()."""
+    """Order-k context machine over files 0..n_files-1: the state is the
+    int code of the up-to-k most recent requests in base B = n_files + 1.
+    Request x is the digit x + 1, the most recent in the lowest digit; a
+    position not yet filled is the digit 0, so each partial window of the
+    first k rounds is a state of its own. The order-k code is the
+    order-(k + 1) code mod B**k. Order 0 has the single state 0."""
 
-    __slots__ = ("k", "current")
+    __slots__ = ("k", "base", "modulus", "current")
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, n_files: int):
         if k < 0:
             raise DomainError(f"context order must be >= 0, got {k}")
         self.k = k
-        self.current: tuple[int, ...] = ()
+        self.base = n_files + 1
+        self.modulus = self.base ** k
+        self.current = 0
 
     def advance(self, request: int) -> None:
-        if self.k:
-            window = self.current
-            self.current = (window if len(window) < self.k else window[1:]) + (request,)
+        self.current = (self.current * self.base + request + 1) % self.modulus
 
     def states(self, requests) -> list:
-        """The window before each request, as `advance` would build it: the
-        partial tuples while fewer than k requests are known, then the k-wide
-        tuples, which are zips of k shifted slices of the history."""
-        k = self.k
-        if not k:
-            return [()] * len(requests)
-        history = self.current + tuple(requests)
-        n = len(history)
-        # The window is partial only before the k-th request ever seen, and
-        # then it holds the whole history.
-        out = [history[:p] for p in range(len(self.current), min(k, n))]
-        if n > k:
-            out += zip(*[history[i:n - k + i] for i in range(k)])
-        self.current = history[-k:]
+        """The code before each request, as `advance` would compute it."""
+        if not self.k:
+            return [0] * len(requests)
+        base, modulus = self.base, self.modulus
+        out = list(accumulate(requests, lambda code, x: (code * base + x + 1) % modulus,
+                              initial=self.current))
+        self.current = out.pop()
         return out
 
 
-def state_file_counts(machine, requests) -> Counter:
-    """counts[(state, file)]: how often each file is requested while the
-    machine is in each state. Each request is counted in the current state
-    and then advances the machine."""
-    return Counter(zip(machine.states(requests), requests))
+def state_file_counts(machine, requests, n_files: int) -> Counter:
+    """counts[state * n_files + file]: how often each file is requested while
+    the machine is in each state. Each request is counted in the current
+    state and then advances the machine."""
+    return Counter(map(add, map(mul, machine.states(requests), repeat(n_files)), requests))
 
 
-def top_c_hits(counts: Counter, cache_size: int) -> int:
+def top_c_hits(counts: Counter, cache_size: int, n_files: int) -> int:
     """Hits of the best per-state cache: summed over the states, the counts
-    of each state's `cache_size` most-requested files.
+    of each state's `cache_size` most-requested files, for counts keyed as
+    `state_file_counts` keys them.
 
     That is the total count less, in each state with more than `cache_size`
     distinct files, the counts below its top `cache_size`; only those
     crowded states are sorted.
     """
-    crowded = {state for state, n in Counter(map(itemgetter(0), counts)).items()
+    crowded = {state for state, n in Counter(map(floordiv, counts, repeat(n_files))).items()
                if n > cache_size}
     hits = sum(counts.values())
     if crowded:
         rows = defaultdict(list)
-        in_crowded = map(crowded.__contains__, map(itemgetter(0), counts))
-        for (state, _), n in compress(counts.items(), in_crowded):
-            rows[state].append(n)
+        in_crowded = map(crowded.__contains__, map(floordiv, counts, repeat(n_files)))
+        for key, n in compress(counts.items(), in_crowded):
+            rows[key // n_files].append(n)
         for row in rows.values():
             row.sort()
             hits -= sum(row[:-cache_size])
@@ -178,12 +178,12 @@ def offline_fsp_hits(spec: FsmSpec, trace: RequestTrace, cache_size: int) -> tup
         raise DomainError(f"trace uses {trace.n_files} files but FSM only knows {n}")
     if not 1 <= cache_size <= n:
         raise DomainError(f"cache size {cache_size} outside [1, {n}]")
-    counts = state_file_counts(FsmRunner(spec), trace.requests)
+    counts = state_file_counts(FsmRunner(spec), trace.requests, n)
     caches = []
     for s in range(spec.n_states):
-        top = nlargest(cache_size, range(n), key=lambda i: (counts[s, i], -i))
+        top = nlargest(cache_size, range(n), key=lambda i: (counts[s * n + i], -i))
         caches.append(CacheSet(frozenset(top), n))
-    return top_c_hits(counts, cache_size), Prefetcher(caches=caches)
+    return top_c_hits(counts, cache_size, n), Prefetcher(caches=caches)
 
 
 def simulate_fsp(spec: FsmSpec, prefetcher: Prefetcher, trace: RequestTrace) -> RunRecord:

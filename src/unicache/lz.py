@@ -107,6 +107,7 @@ def offline_lz_oracle(trace: RequestTrace, cache_size: int) -> tuple[int, int, i
     """
     if not 1 <= cache_size <= trace.n_files:
         raise DomainError(f"cache size {cache_size} outside [1, {trace.n_files}]")
-    tree = LzTree(trace.n_files)
-    hits = top_c_hits(state_file_counts(tree, trace.requests), cache_size)
+    n = trace.n_files
+    tree = LzTree(n)
+    hits = top_c_hits(state_file_counts(tree, trace.requests, n), cache_size, n)
     return len(trace) - hits, hits, tree.node_count

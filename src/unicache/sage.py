@@ -418,4 +418,4 @@ class SagePolicy(MachineSagePolicy):
 
     def __init__(self, n_files: int, cache_size: int,
                  eta_config: EtaConfig | None = None, seed: int = 0, name: str = "sage"):
-        super().__init__(name, Window(0), n_files, cache_size, eta_config, seed)
+        super().__init__(name, Window(0, n_files), n_files, cache_size, eta_config, seed)

@@ -5,17 +5,18 @@ numbers are bit-reproducible across runs and machines.
 """
 
 import math
+from collections import defaultdict
 from itertools import combinations
 from statistics import mean, stdev
 
 import pytest
 
-from unicache import (EtaConfig, FifoPolicy, FsmRunner, LruPolicy, LzSagePolicy,
-                      MarkovSagePolicy, RequestTrace, SagePolicy, SageState, SplitMix64,
-                      generate_trace, lockstep_replay, lz_regret_bound, madow_sample,
-                      markov_regret_bound, markov_vs_fsp_gap, miss_fraction_bound,
-                      offline_fsp_hits, offline_lz_oracle, offline_markov_hit_rate,
-                      random_fsm, replay, simulate_fsp, state_file_counts,
+from unicache import (ExperimentConfig, FifoPolicy, FsmRunner, LruPolicy, LzSagePolicy,
+                      MarkovSagePolicy, PolicySpec, RequestTrace, SagePolicy, SageState,
+                      SplitMix64, generate_trace, lockstep_replay, lz_regret_bound,
+                      madow_sample, markov_regret_bound, markov_vs_fsp_gap, miss_fraction_bound,
+                      offline_fsp_hits, offline_lz_oracle, offline_markov_hit_rate, random_fsm,
+                      replay, run_experiment, simulate_fsp, state_file_counts,
                       static_regret_bound)
 from util import (fifo_rule, hedge_bruteforce_marginals, lru_rule, nonzero_counts,
                   parsed_tree, reference_parse, tree_phrases, tuple_fsp_reference,
@@ -32,7 +33,7 @@ def _se(values):
 
 def test_acceptance_01_worked_example_exact():
     spec, trace, counts, prefetch = worked_example()
-    assert state_file_counts(FsmRunner(spec), trace.requests) == nonzero_counts(counts)
+    assert state_file_counts(FsmRunner(spec), trace.requests, 5) == nonzero_counts(counts)
     best = offline_fsp_hits(spec, trace, 2)[1]
     assert [set(c.files) for c in best.caches] == prefetch
     hits, best2 = offline_fsp_hits(spec, trace, 2)
@@ -253,19 +254,19 @@ def test_acceptance_07_zero_miss_order_one_regret():
 
 @pytest.fixture(scope="module")
 def synthetic_sweep():
-    """Q=50, N=3, C=2, T=1e5 trace; per-policy hit rates over 20 seeds."""
+    """Q=50, N=3, C=2, T=1e5 trace; per-policy hit rates over 20 seeds. The
+    eleven 20-seed sweeps are jobs of one `run_experiment`, spread over the
+    CPUs."""
     spec, arrays = random_fsm(50, 3, 2, seed=7)
     trace = generate_trace(spec, arrays, spec.initial_state, 100_000, seed=8)
-    horizon = len(trace)
-    seeds = range(20)
-
-    def rates(policies):
-        return [r.cumulative_hits / horizon for r in lockstep_replay(policies, trace)]
-
-    markov = {k: rates([MarkovSagePolicy(3, 2, k, seed=s) for s in seeds]) for k in range(9)}
-    lz = rates([LzSagePolicy(3, 2, seed=s) for s in seeds])
-    sage = rates([SagePolicy(3, 2, seed=s) for s in seeds])
-    return horizon, markov, lz, sage
+    policies = [PolicySpec("markov", k) for k in range(9)] + [PolicySpec("lz"),
+                                                              PolicySpec("sage")]
+    cfg = ExperimentConfig(cache_size=2, policies=policies, seeds=list(range(20)))
+    rates = defaultdict(list)
+    for row in run_experiment(cfg, trace):
+        rates[row.policy].append(row.hit_rate)
+    markov = {k: rates[f"markov:{k}"] for k in range(9)}
+    return len(trace), markov, rates["lz"], rates["sage"]
 
 
 def test_acceptance_08_synthetic_sweep_shape(synthetic_sweep):

@@ -61,10 +61,12 @@ def test_fsm_runner_states_match_the_advance_walk(q, n, seed, history, requests)
 @settings(max_examples=300, deadline=None)
 def test_top_c_hits_matches_the_per_state_reference(n, counts):
     # States hold from 1 to n distinct files, so rows are shorter than, as
-    # long as and longer than C; counts of 1..4 make ties.
-    counts = Counter({(s, x % n): v for (s, x), v in counts.items()})
+    # long as and longer than C; counts of 1..4 make ties. The reference
+    # reads the same counts keyed by (state, file) pairs.
+    pairs = Counter({(s, x % n): v for (s, x), v in counts.items()})
+    codes = Counter({s * n + x: v for (s, x), v in pairs.items()})
     for c in range(1, n + 1):
-        assert top_c_hits(counts, c) == top_c_hits_reference(counts, c)
+        assert top_c_hits(codes, c, n) == top_c_hits_reference(pairs, c)
 
 
 def test_fsm_step_domain_errors():
@@ -93,16 +95,16 @@ def test_fsm_spec_validation():
 
 def test_visit_counts_worked_example():
     spec, trace, counts, _ = worked_example()
-    visits = state_file_counts(FsmRunner(spec), trace.requests)
+    visits = state_file_counts(FsmRunner(spec), trace.requests, 5)
     assert visits == nonzero_counts(counts)
     assert sum(visits.values()) == len(trace)
 
 
 def test_visit_counts_empty_and_single_state():
     spec, _, _, _ = worked_example()
-    assert state_file_counts(FsmRunner(spec), []) == nonzero_counts([[0] * 5] * 3)
+    assert state_file_counts(FsmRunner(spec), [], 5) == nonzero_counts([[0] * 5] * 3)
     flat = FsmSpec(1, 3, [[0, 0, 0]], 0)
-    visits = state_file_counts(FsmRunner(flat), [0, 2, 2, 1, 2])
+    visits = state_file_counts(FsmRunner(flat), [0, 2, 2, 1, 2], 3)
     assert visits == nonzero_counts([[1, 1, 3]])
 
 

@@ -1,31 +1,36 @@
+import tracemalloc
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicache import (DomainError, EtaConfig, MarkovSagePolicy, RequestTrace, SagePolicy,
-                      Window, lockstep_replay, offline_markov_hit_rate, replay)
-from util import advance_walk, random_trace
+                      Window, generate_trace, lockstep_replay, offline_markov_hit_rate,
+                      random_fsm, replay)
+from util import (TupleWindow, advance_walk, random_trace, top_c_hits_reference,
+                  window_code)
 
 
 def test_shift_context_drops_oldest():
-    window = Window(2)
+    window = Window(2, 6)
     for x in (1, 5, 2):
         window.advance(x)
-    assert window.current == (5, 2)
+    assert window.current == window_code((5, 2), 6)
 
 
 def test_shift_context_order_zero():
-    window = Window(0)
+    window = Window(0, 4)
     window.advance(3)
-    assert window.current == ()
+    assert window.current == window_code((), 4) == 0
 
 
 def test_shift_context_grows_during_warmup():
-    window = Window(3)
-    assert window.current == ()
+    window = Window(3, 8)
+    assert window.current == window_code((), 8)
     for x, expect in [(4, (4,)), (5, (4, 5)), (6, (4, 5, 6)), (7, (5, 6, 7))]:
         window.advance(x)
-        assert window.current == expect
+        assert window.current == window_code(expect, 8)
 
 
 @given(st.integers(min_value=0, max_value=7), st.lists(st.integers(0, 3), max_size=10),
@@ -33,7 +38,7 @@ def test_shift_context_grows_during_warmup():
 @settings(max_examples=300, deadline=None)
 def test_window_states_match_the_advance_walk(k, history, requests):
     # The window starts empty, partial or full, and T may be below k.
-    bulk, walk = Window(k), Window(k)
+    bulk, walk = Window(k, 4), Window(k, 4)
     for x in history:
         bulk.advance(x)
         walk.advance(x)
@@ -41,9 +46,28 @@ def test_window_states_match_the_advance_walk(k, history, requests):
     assert bulk.current == walk.current
 
 
+@given(st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=4),
+       st.lists(st.integers(0, 3), max_size=10), st.lists(st.integers(0, 3), max_size=24))
+@settings(max_examples=300, deadline=None)
+def test_window_codes_match_the_tuple_reference(k, n, history, requests):
+    # From an empty, partial or full window: order k's codes split the rounds
+    # as its tuples do, and order k + 1's codes mod (n + 1)**k are order k's.
+    history = [x % n for x in history]
+    requests = [x % n for x in requests]
+    code, wide, ref = Window(k, n), Window(k + 1, n), TupleWindow(k)
+    for machine in (code, wide, ref):
+        for x in history:
+            machine.advance(x)
+    codes, wide_codes, tuples = (m.states(requests) for m in (code, wide, ref))
+    assert codes == [window_code(t, n) for t in tuples]
+    assert len(set(codes)) == len(set(tuples)) == len(set(zip(codes, tuples)))
+    assert [c % (n + 1) ** k for c in wide_codes] == codes
+    assert code.current == window_code(ref.current, n) == wide.current % (n + 1) ** k
+
+
 def test_context_validation():
     with pytest.raises(DomainError):
-        Window(-1)
+        Window(-1, 3)
     with pytest.raises(DomainError):
         MarkovSagePolicy(3, 1, k=-1)
 
@@ -53,7 +77,7 @@ def test_order_one_contexts_on_three_requests():
     trace = RequestTrace(3, [0, 1, 2])
     policy = MarkovSagePolicy(3, 1, k=1, seed=0)
     replay(policy, trace)
-    assert set(policy.table) == {(), (0,), (1,)}
+    assert set(policy.table) == {window_code(t, 3) for t in [(), (0,), (1,)]}
 
 
 def test_offline_order_zero_is_static_best():
@@ -97,6 +121,29 @@ def test_offline_validates():
         offline_markov_hit_rate(trace, 1, 4)
     with pytest.raises(DomainError):
         offline_markov_hit_rate(RequestTrace(3, []), 1, 1)
+
+
+def _traced_peak(run):
+    """run() and the peak of the memory Python allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_counting_peak_stays_below_the_tuple_reference():
+    # The benchmark's oracle-replay inputs at T = 1e5: a Q=500, N=16, C=4
+    # machine from seed 0, walked from seed 1. Int codes and int count keys
+    # must peak at most 3/4 of what tuple windows and pair keys peak at.
+    spec, arrays = random_fsm(500, 16, 4, seed=0)
+    trace = generate_trace(spec, arrays, spec.initial_state, 100_000, seed=1)
+    for k in (2, 4):
+        (_, hits), peak = _traced_peak(lambda: offline_markov_hit_rate(trace, k, 4))
+        reference_hits, reference_peak = _traced_peak(lambda: top_c_hits_reference(
+            Counter(zip(TupleWindow(k).states(trace.requests), trace.requests)), 4))
+        assert hits == reference_hits
+        assert peak <= 0.75 * reference_peak, (k, peak, reference_peak)
 
 
 def test_order_zero_policy_identical_to_plain_sage():

@@ -156,6 +156,47 @@ def advance_walk(machine, requests) -> list:
     return states
 
 
+class TupleWindow:
+    """Order-k context machine on tuples, a reference for `Window`'s codes:
+    the state is the tuple of the up-to-k most recent requests, most recent
+    last. Order 0 has the single state ()."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.current: tuple[int, ...] = ()
+
+    def advance(self, request: int) -> None:
+        if self.k:
+            window = self.current
+            self.current = (window if len(window) < self.k else window[1:]) + (request,)
+
+    def states(self, requests) -> list:
+        """The window before each request, as `advance` would build it: the
+        partial tuples while fewer than k requests are known, then the k-wide
+        tuples, which are zips of k shifted slices of the history."""
+        k = self.k
+        if not k:
+            return [()] * len(requests)
+        history = self.current + tuple(requests)
+        n = len(history)
+        # The window is partial only before the k-th request ever seen, and
+        # then it holds the whole history.
+        out = [history[:p] for p in range(len(self.current), min(k, n))]
+        if n > k:
+            out += zip(*[history[i:n - k + i] for i in range(k)])
+        self.current = history[-k:]
+        return out
+
+
+def window_code(window: tuple, n_files: int) -> int:
+    """The `Window` state of a context tuple: in base n_files + 1, request x
+    is the digit x + 1, the most recent (last) request in the lowest digit."""
+    code = 0
+    for x in window:
+        code = code * (n_files + 1) + x + 1
+    return code
+
+
 def top_c_hits_reference(counts: Counter, cache_size: int) -> int:
     """Per-state top-C hits the direct way: group each state's counts, sum
     its `cache_size` largest with `heapq.nlargest`."""
@@ -180,9 +221,11 @@ def optimal_prefetcher_reference(spec: FsmSpec, trace: RequestTrace,
 
 
 def nonzero_counts(rows) -> Counter:
-    """A dense per-state table of counts as the (state, file) `Counter` that
-    `state_file_counts` returns: its nonzero entries."""
-    return Counter({(s, x): n for s, row in enumerate(rows) for x, n in enumerate(row) if n})
+    """A dense per-state table of counts as the `Counter` that
+    `state_file_counts` returns: its nonzero entries, keyed by
+    state * n_files + file."""
+    return Counter({s * len(row) + x: n for s, row in enumerate(rows)
+                    for x, n in enumerate(row) if n})
 
 
 def load_trace_reference(path, n_files: int | None = None) -> RequestTrace:
