@@ -2,7 +2,7 @@
 
 Every policy and every oracle is a machine plus a per-state rule. A
 machine (see `fsm`) has an int `current` state, an `advance(request)`
-method and a bulk `states(requests)` method that returns the state before
+method and a bulk `states(requests)` method that yields the state before
 each request: the order-k context `Window(k, n_files)`, whose state codes
 the last k requests in base n_files + 1 (order 0 for plain SAGE), the
 LZ-78 parse tree `LzTree`, whose states are node ids, or a given FSM run

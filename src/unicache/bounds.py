@@ -52,7 +52,8 @@ def fsm_regret_bound(n_states: int, l_star: int, n_files: int, cache_size: int) 
 
 
 def markov_regret_bound(order: int, l_star: int, n_files: int, cache_size: int) -> float:
-    """The per-state bound specialized to the N^k contexts of order k."""
+    """The per-state bound specialized to the N^k contexts of order k. The k
+    warm-up windows, each visited once, may add up to k more to the regret."""
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
     return fsm_regret_bound(n_files**order, l_star, n_files, cache_size)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from . import bounds as bounds_mod
 from .core import (CacheSet, ConfigError, DataError, DomainError, NumericError,
@@ -121,20 +122,19 @@ def _cmd_bounds(args) -> int:
 def _cmd_parse_stats(args) -> int:
     trace = load_trace(args.trace)
     tree = LzTree(trace.n_files)
-    tree.states(trace.requests)
-    max_depth = max(node.depth for node in tree.nodes)
+    visits = Counter(tree.states(trace.requests))
     lines = [f"rounds          {len(trace)}",
              f"files           {trace.n_files}",
              f"nodes           {tree.node_count}",
-             f"phrases         {tree.phrase_count}",
-             f"max_depth       {max_depth}"]
+             f"phrases         {tree.node_count - 1}",
+             f"max_depth       {max(tree.depth)}"]
     for k in (1, 2, 4):
-        shallow, deep = depth_split_counts(tree, k)
+        shallow, deep = depth_split_counts(tree, visits, k)
         lines.append(f"depth_split_{k}   {shallow} {deep}")
     # The dump is written before anything is printed: a failed dump prints nothing.
     if args.dump:
         with open(args.dump, "w", encoding="ascii") as fh:
-            dump_tree(tree, fh)
+            dump_tree(tree, visits, fh)
         lines.append(f"wrote {args.dump}")
     print("\n".join(lines))
     return EXIT_OK

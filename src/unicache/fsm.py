@@ -12,10 +12,11 @@ A machine, in the sense every policy and oracle here uses, is any object
 with an int `current` state, an `advance(request)` method and a bulk
 `states(requests)` method: an `FsmSpec` walked by `FsmRunner`, the order-k
 `Window`, or the LZ-78 parse tree (`lz.LzTree`), whose states are node ids.
-`states` returns the state before each request and leaves the machine
-advanced past them all, as the same `advance` calls would; `Machine` gives
-the loop over `advance`, and `Window` runs its one arithmetic rule through
-`itertools.accumulate`. `state_file_counts` and `top_c_hits` are the one
+`states` is an iterator over the state before each request; once it is
+exhausted, the machine is past them all, as the same `advance` calls would
+leave it. `Machine` gives the generator over `advance`, and `Window` runs
+its one arithmetic rule through `itertools.accumulate`; no T-long list of
+states is built. `state_file_counts` and `top_c_hits` are the one
 counting pass behind every per-state oracle, the fsp oracle
 (`offline_fsp_hits`) included, which also reads its per-state caches off
 the same counts. Each (state, file) pair is counted under the one int
@@ -30,7 +31,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from heapq import nlargest
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, islice, repeat
 from operator import add, contains, floordiv, mul
 
 from .core import CacheSet, DataError, DomainError, RequestTrace, RunRecord
@@ -84,14 +85,13 @@ class Machine:
 
     __slots__ = ()
 
-    def states(self, requests) -> list:
-        """The state before each request; the machine ends past them all."""
-        out = []
-        append, advance = out.append, self.advance
+    def states(self, requests):
+        """Yield the state before each request; once exhausted, the machine
+        is past them all."""
+        advance = self.advance
         for x in requests:
-            append(self.current)
+            yield self.current
             advance(x)
-        return out
 
 
 class FsmRunner(Machine):
@@ -128,15 +128,17 @@ class Window:
     def advance(self, request: int) -> None:
         self.current = (self.current * self.base + request + 1) % self.modulus
 
-    def states(self, requests) -> list:
-        """The code before each request, as `advance` would compute it."""
+    def states(self, requests):
+        """The code before each request, as `advance` would compute it; the
+        end code is set first, from the last k requests (older digits shift out)."""
         if not self.k:
-            return [0] * len(requests)
+            return repeat(0, len(requests))
         base, modulus = self.base, self.modulus
-        out = list(accumulate(requests, lambda code, x: (code * base + x + 1) % modulus,
-                              initial=self.current))
-        self.current = out.pop()
-        return out
+        start = self.current
+        for x in requests[-self.k:]:
+            self.advance(x)
+        return islice(accumulate(requests, lambda code, x: (code * base + x + 1) % modulus,
+                                 initial=start), len(requests))
 
 
 def state_file_counts(machine, requests, n_files: int) -> Counter:

@@ -12,9 +12,11 @@ unaffected by the laziness, and a fully N-ary materialization would hold
 
 `LzTree.advance` is the one place that decides where a phrase ends: phrase
 i is the path from the root to node i + 1, since a node is created when its
-phrase completes, after its parent's. The partial phrase in flight when the
-trace ends stays in the per-node statistics; no special end-of-stream
-handling.
+phrase completes, after its parent's. The tree is one dict, from the edge
+key `node * n_files + symbol` to the child's id, filled in child-id order,
+and a list of node depths. A node's visits are how often `states` yields
+it. The partial phrase in flight when the trace ends stays in the per-node
+statistics; no special end-of-stream handling.
 """
 
 from __future__ import annotations
@@ -24,70 +26,58 @@ from .fsm import Machine, state_file_counts, top_c_hits
 from .sage import EtaConfig, MachineSagePolicy
 
 
-class LzNode:
-    __slots__ = ("parent", "depth", "symbol", "children", "visits")
-
-    def __init__(self, parent: int, depth: int, symbol: int):
-        self.parent = parent
-        self.depth = depth
-        self.symbol = symbol  # edge label from the parent; -1 at the root
-        self.children: dict[int, int] = {}
-        self.visits = 0  # requests consumed while this node was current
-
-
 class LzTree(Machine):
-    """Parse-tree machine: node records, current-node pointer, phrase count."""
+    """Parse-tree machine: the edge table, the node depths, the current node."""
+
+    __slots__ = ("n_files", "edges", "depth", "current")
 
     def __init__(self, n_files: int):
         if n_files < 1:
             raise DomainError(f"library size must be >= 1, got {n_files}")
         self.n_files = n_files
-        self.nodes: list[LzNode] = [LzNode(parent=-1, depth=0, symbol=-1)]
+        self.edges: dict[int, int] = {}  # node * n_files + symbol -> child id
+        self.depth = [0]
         self.current = 0
-        self.phrase_count = 0
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
-
-    def consumed(self) -> int:
-        return sum(node.visits for node in self.nodes)
+        return len(self.depth)
 
     def advance(self, request: int) -> None:
-        """Record one request at the current node and walk the parse.
+        """Walk the parse from the current node, which consumes the request.
 
         If the current node lacks a child for the request, the phrase is
         complete: the child is created and the walk resets to the root.
         """
         if not 0 <= request < self.n_files:
             raise DomainError(f"request {request} outside [0, {self.n_files})")
-        cur = self.current
-        node = self.nodes[cur]
-        node.visits += 1
-        child = node.children.get(request)
+        key = self.current * self.n_files + request
+        child = self.edges.get(key)
         if child is None:
-            child_id = len(self.nodes)
-            self.nodes.append(LzNode(parent=cur, depth=node.depth + 1, symbol=request))
-            node.children[request] = child_id
-            self.phrase_count += 1
+            depth = self.depth
+            self.edges[key] = len(depth)
+            depth.append(depth[self.current] + 1)
             self.current = 0
         else:
             self.current = child
 
 
-def depth_split_counts(tree: LzTree, k: int) -> tuple[int, int]:
-    """Partition consumed requests by the depth of the consuming node:
-    (requests at depth < k, requests at depth >= k)."""
+def depth_split_counts(tree: LzTree, visits: dict[int, int], k: int) -> tuple[int, int]:
+    """Partition consumed requests, `visits` per node id, by the depth of the
+    consuming node: (requests at depth < k, requests at depth >= k)."""
     if k < 0:
         raise DomainError(f"depth threshold must be >= 0, got {k}")
-    shallow = sum(node.visits for node in tree.nodes if node.depth < k)
-    return shallow, tree.consumed() - shallow
+    shallow = sum(n for node, n in visits.items() if tree.depth[node] < k)
+    return shallow, sum(visits.values()) - shallow
 
 
-def dump_tree(tree: LzTree, fh) -> None:
-    """Diagnostic dump: one line "node_id parent_id depth symbol visit_count"."""
-    for nid, node in enumerate(tree.nodes):
-        fh.write(f"{nid} {node.parent} {node.depth} {node.symbol} {node.visits}\n")
+def dump_tree(tree: LzTree, visits: dict[int, int], fh) -> None:
+    """Diagnostic dump: one line "node_id parent_id depth symbol visit_count"
+    per node, with `visits` as `Counter(tree.states(requests))` counts them."""
+    n, depth, seen = tree.n_files, tree.depth, visits.get
+    fh.write(f"0 -1 0 -1 {seen(0, 0)}\n")
+    for key, nid in tree.edges.items():
+        fh.write(f"{nid} {key // n} {depth[nid]} {key % n} {seen(nid, 0)}\n")
 
 
 class LzSagePolicy(MachineSagePolicy):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicache import (DataError, DomainError, FifoPolicy, FsmRunner, FsmSpec, LruPolicy,
-                      Prefetcher, RequestTrace, SplitMix64, load_fsm, offline_fsp_hits,
-                      random_fsm, replay, save_fsm, simulate_fsp, state_file_counts,
-                      top_c_hits)
+                      LzTree, Prefetcher, RequestTrace, SplitMix64, Window, load_fsm,
+                      offline_fsp_hits, random_fsm, replay, save_fsm, simulate_fsp,
+                      state_file_counts, top_c_hits)
 from util import (advance_walk, fifo_rule, lru_rule, nonzero_counts,
                   optimal_prefetcher_reference, random_trace, top_c_hits_reference,
                   tuple_fsp_reference, worked_example)
@@ -51,8 +51,34 @@ def test_fsm_runner_states_match_the_advance_walk(q, n, seed, history, requests)
         bulk.advance(x % n)
         walk.advance(x % n)
     requests = [x % n for x in requests]
-    assert bulk.states(requests) == advance_walk(walk, requests)
+    assert list(bulk.states(requests)) == advance_walk(walk, requests)
     assert bulk.current == walk.current
+
+
+def test_states_stream_and_end_past_every_request():
+    # Every machine's `states` is an iterator, and once it is exhausted the
+    # machine is where the advance walk ends: for T below, at and above each
+    # window order k, from the start state and from a state a prefix reached.
+    n = 3
+    spec, _ = random_fsm(5, n, 1, seed=3)
+    makers = [("fsm", lambda: FsmRunner(spec)), ("lz", lambda: LzTree(n))]
+    makers += [(f"window:{k}", lambda k=k: Window(k, n)) for k in range(8)]
+    for label, make in makers:
+        for t in range(10):
+            for prefix in ([], [2, 0, 1, 1]):
+                requests = random_trace(n, t, seed=t).requests
+                bulk, walk = make(), make()
+                for x in prefix:
+                    bulk.advance(x)
+                    walk.advance(x)
+                states = bulk.states(requests)
+                assert iter(states) is states, label
+                assert list(states) == advance_walk(walk, requests), (label, t, prefix)
+                assert bulk.current == walk.current, (label, t, prefix)
+    # The parse tree checks each request as the iterator reaches it.
+    states = LzTree(3).states([0, 1, 3])
+    with pytest.raises(DomainError):
+        list(states)
 
 
 @given(st.integers(min_value=1, max_value=6),

@@ -11,8 +11,10 @@ import pytest
 
 from unicache import (CacheSet, EtaConfig, ExperimentConfig, LzSagePolicy,
                       MarkovSagePolicy, Prefetcher, RequestTrace, SagePolicy,
-                      generate_trace, random_fsm, replay, run_experiment, save_fsm, to_csv)
+                      generate_trace, random_fsm, replay, run_experiment, save_fsm,
+                      save_trace, to_csv)
 from unicache import sage as sage_mod
+from unicache.cli import main
 from unicache.harness import parse_policy_spec
 from util import parsed_tree, zipf_trace
 
@@ -60,12 +62,26 @@ ORACLE_HITS = {
 }
 ORACLE_LZ_NODES = 5812
 
+# `unicache parse-stats --dump tree.txt`: sha256 of its stdout and of the
+# dump, on the oracle trace above and on the README trace.
+PARSE_STATS_DIGESTS = {
+    "oracle": ("56eaf3ee50377402d9399900c3b364459e17e47476a9ccac823f123562b41505",
+               "f4a03310d47256c9895e4d468ab4388c848fd667991448395757b789b5d7b014"),
+    "readme": ("628a3c1f4e528ddba83119059299d2fdf7540e1d260fb19b3c2b7e8f69bcc7fa",
+               "b8967c6ad678a80f10d607af55401c8e94c5cbd532b08ed354006f51b047e533"),
+}
+
 
 def _sha(chunks) -> str:
     h = hashlib.sha256()
     for chunk in chunks:
         h.update(chunk)
     return h.hexdigest()
+
+
+def _oracle_trace():
+    spec, arrays = random_fsm(500, 16, 4, 11)
+    return spec, arrays, generate_trace(spec, arrays, spec.initial_state, ROUNDS, 12)
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +138,7 @@ def test_skewed_hit_sequence_is_pinned(monkeypatch):
 
 
 def test_oracle_hits_are_pinned(tmp_path):
-    spec, arrays = random_fsm(500, 16, 4, 11)
-    trace = generate_trace(spec, arrays, spec.initial_state, ROUNDS, 12)
+    spec, arrays, trace = _oracle_trace()
     save_fsm(spec, tmp_path / "gen.fsm",
              Prefetcher(caches=[CacheSet(frozenset(a), 16) for a in arrays]))
     labels = [label for label in ORACLE_HITS if label != "fsp-oracle"]
@@ -131,3 +146,13 @@ def test_oracle_hits_are_pinned(tmp_path):
     rows = run_experiment(ExperimentConfig(cache_size=4, policies=policies, seeds=[0]), trace)
     assert [r.hits for r in rows] == [ORACLE_HITS[label] for label in labels + ["fsp-oracle"]]
     assert parsed_tree(trace).node_count == ORACLE_LZ_NODES
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_STATS_DIGESTS))
+def test_parse_stats_output_is_pinned(readme_trace, name, tmp_path, monkeypatch, capsys):
+    save_trace(_oracle_trace()[2] if name == "oracle" else readme_trace, tmp_path / "t.trace")
+    monkeypatch.chdir(tmp_path)  # the stdout names the dump path
+    assert main(["parse-stats", "--trace", "t.trace", "--dump", "tree.txt"]) == 0
+    stdout = capsys.readouterr().out.encode("ascii")
+    assert (_sha([stdout]), _sha([(tmp_path / "tree.txt").read_bytes()])) == \
+        PARSE_STATS_DIGESTS[name]

@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,20 +8,29 @@ from hypothesis import strategies as st
 from unicache import (DomainError, LzSagePolicy, LzTree, RequestTrace,
                       depth_split_counts, dump_tree, offline_lz_oracle,
                       offline_markov_hit_rate, replay, SagePolicy)
-from util import (advance_walk, mean, parsed_tree, random_trace, reference_parse,
+from util import (NodeTree, advance_walk, mean, parsed_tree, random_trace, reference_parse,
                   tree_phrases)
 
 
+def _walked(n_files: int, requests):
+    """The flat tree, its per-node visits, and the reference tree, each
+    walked over the requests."""
+    tree, reference = LzTree(n_files), NodeTree(n_files)
+    visits = Counter(tree.states(requests))
+    reference.states(requests)
+    return tree, visits, reference
+
+
 def test_parse_example():
-    tree = parsed_tree(RequestTrace(2, [0, 1, 0, 0, 1, 1]))
+    tree, _, reference = _walked(2, [0, 1, 0, 0, 1, 1])
     assert tree_phrases(tree) == [(0,), (1,), (0, 0), (1, 1)]
-    assert tree.node_count == 5
-    assert tree.phrase_count == 4
+    assert tree.node_count == reference.node_count == 5
+    assert tree.node_count - 1 == reference.phrase_count == 4
 
 
 def test_parse_empty_trace():
     tree = parsed_tree(RequestTrace(2, []))
-    assert tree_phrases(tree) == [] and tree.node_count == 1 and tree.phrase_count == 0
+    assert tree_phrases(tree) == [] and tree.node_count == 1 and not tree.edges
 
 
 def test_parse_constant_symbol_phrase_lengths():
@@ -30,7 +40,7 @@ def test_parse_constant_symbol_phrase_lengths():
     assert tree.node_count == 4
     # one more symbol starts a partial phrase along an existing path: no new node
     tree7 = parsed_tree(RequestTrace(2, [0] * 7))
-    assert tree7.node_count == 4 and tree7.phrase_count == 3
+    assert tree7.node_count == 4 and len(tree7.edges) == 3
 
 
 def test_parse_matches_reference_on_random_traces():
@@ -46,44 +56,55 @@ def test_lz_advance_validates():
         tree.advance(3)
     for bad in ([0, 1, 3], [-1]):
         with pytest.raises(DomainError):
-            LzTree(3).states(bad)
+            list(LzTree(3).states(bad))
 
 
 @given(st.integers(min_value=1, max_value=4), st.lists(st.integers(0, 3), max_size=20),
        st.lists(st.integers(0, 3), max_size=40))
 @settings(max_examples=200, deadline=None)
 def test_lz_states_match_the_advance_walk(n, history, requests):
-    bulk, walk = LzTree(n), LzTree(n)
-    for x in history:
-        bulk.advance(x % n)
-        walk.advance(x % n)
+    # From a random prefix, the flat tree yields the node-object tree's walk
+    # and ends where it does; each edge key holds its child's parent and
+    # symbol, each node its depth, and the dump is the reference's.
+    history = [x % n for x in history]
     requests = [x % n for x in requests]
-    assert bulk.states(requests) == advance_walk(walk, requests)
-    assert (bulk.current, bulk.node_count, bulk.phrase_count) == \
-        (walk.current, walk.node_count, walk.phrase_count)
-    assert [(node.visits, node.children) for node in bulk.nodes] == \
-        [(node.visits, node.children) for node in walk.nodes]
+    tree, reference = LzTree(n), NodeTree(n)
+    visits = Counter(tree.states(history))
+    advance_walk(reference, history)
+    states = list(tree.states(requests))
+    assert states == advance_walk(reference, requests)
+    visits.update(states)
+    assert (tree.current, tree.node_count) == (reference.current, reference.node_count)
+    assert tree.depth == [node.depth for node in reference.nodes]
+    assert [(key // n, key % n, child) for key, child in tree.edges.items()] == \
+        [(node.parent, node.symbol, nid) for nid, node in enumerate(reference.nodes)][1:]
+    buf = io.StringIO()
+    dump_tree(tree, visits, buf)
+    assert buf.getvalue().splitlines() == reference.dump_lines()
 
 
 def test_consumed_tracks_rounds():
     trace = random_trace(3, 77, 1)
-    tree = parsed_tree(trace)
-    assert tree.consumed() == 77
+    tree, visits, reference = _walked(3, trace.requests)
+    assert sum(visits.values()) == reference.consumed() == 77
+    assert [visits[nid] for nid in range(tree.node_count)] == \
+        [node.visits for node in reference.nodes]
     assert tree.node_count <= 78  # at most one node per round plus the root
 
 
 def test_depth_split_edges_and_bound():
     trace = random_trace(3, 400, 9)
-    tree = parsed_tree(trace)
-    assert depth_split_counts(tree, 0) == (0, 400)
-    deepest = max(n.depth for n in tree.nodes)
-    assert depth_split_counts(tree, deepest + 1) == (400, 0)
+    tree = LzTree(3)
+    visits = Counter(tree.states(trace.requests))
+    assert depth_split_counts(tree, visits, 0) == (0, 400)
+    deepest = max(tree.depth)
+    assert depth_split_counts(tree, visits, deepest + 1) == (400, 0)
     for k in (1, 2, 3):
-        shallow, deep = depth_split_counts(tree, k)
+        shallow, deep = depth_split_counts(tree, visits, k)
         assert shallow + deep == 400
         assert shallow <= k * tree.node_count
     with pytest.raises(DomainError):
-        depth_split_counts(tree, -1)
+        depth_split_counts(tree, visits, -1)
 
 
 def test_sublinear_node_growth():
@@ -149,13 +170,13 @@ def test_lz_policy_beats_plain_sage_on_periodic_stream():
 
 
 def test_tree_dump_format():
-    trace = RequestTrace(2, [0, 1, 0])
-    tree = parsed_tree(trace)
+    tree, visits, reference = _walked(2, [0, 1, 0])
     buf = io.StringIO()
-    dump_tree(tree, buf)
+    dump_tree(tree, visits, buf)
     lines = buf.getvalue().splitlines()
+    assert lines == reference.dump_lines()
     assert len(lines) == tree.node_count
     assert lines[0].split() == ["0", "-1", "0", "-1", "3"]
     for line in lines[1:]:
         nid, parent, depth, symbol, visits = map(int, line.split())
-        assert tree.nodes[parent].depth == depth - 1
+        assert tree.depth[parent] == depth - 1

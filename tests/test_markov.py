@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicache import (DomainError, EtaConfig, MarkovSagePolicy, RequestTrace, SagePolicy,
-                      Window, generate_trace, lockstep_replay, offline_markov_hit_rate,
-                      random_fsm, replay)
-from util import (TupleWindow, advance_walk, random_trace, top_c_hits_reference,
+                      Window, generate_trace, lockstep_replay, offline_lz_oracle,
+                      offline_markov_hit_rate, random_fsm, replay, state_file_counts,
+                      top_c_hits)
+from util import (NodeTree, TupleWindow, advance_walk, random_trace, top_c_hits_reference,
                   window_code)
 
 
@@ -42,8 +43,20 @@ def test_window_states_match_the_advance_walk(k, history, requests):
     for x in history:
         bulk.advance(x)
         walk.advance(x)
-    assert bulk.states(requests) == advance_walk(walk, requests)
+    assert list(bulk.states(requests)) == advance_walk(walk, requests)
     assert bulk.current == walk.current
+
+
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=4),
+       st.lists(st.integers(0, 3), max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_window_visits_at_most_n_to_the_k_plus_k_states(k, n, requests):
+    # The partial windows of the first k rounds are k states beyond the N^k
+    # full windows that `markov_regret_bound` counts.
+    window = Window(k, n)
+    visited = set(window.states([x % n for x in requests]))
+    visited.add(window.current)
+    assert len(visited) <= n ** k + k
 
 
 @given(st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=4),
@@ -58,7 +71,7 @@ def test_window_codes_match_the_tuple_reference(k, n, history, requests):
     for machine in (code, wide, ref):
         for x in history:
             machine.advance(x)
-    codes, wide_codes, tuples = (m.states(requests) for m in (code, wide, ref))
+    codes, wide_codes, tuples = (list(m.states(requests)) for m in (code, wide, ref))
     assert codes == [window_code(t, n) for t in tuples]
     assert len(set(codes)) == len(set(tuples)) == len(set(zip(codes, tuples)))
     assert [c % (n + 1) ** k for c in wide_codes] == codes
@@ -132,18 +145,37 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-def test_oracle_counting_peak_stays_below_the_tuple_reference():
+@pytest.fixture(scope="module")
+def oracle_trace():
     # The benchmark's oracle-replay inputs at T = 1e5: a Q=500, N=16, C=4
-    # machine from seed 0, walked from seed 1. Int codes and int count keys
-    # must peak at most 3/4 of what tuple windows and pair keys peak at.
+    # machine from seed 0, walked from seed 1.
     spec, arrays = random_fsm(500, 16, 4, seed=0)
-    trace = generate_trace(spec, arrays, spec.initial_state, 100_000, seed=1)
+    return generate_trace(spec, arrays, spec.initial_state, 100_000, seed=1)
+
+
+def test_oracle_counting_peak_stays_below_the_tuple_reference(oracle_trace):
+    # Int codes and int count keys must peak at most 3/4 of what tuple
+    # windows and pair keys peak at.
+    trace = oracle_trace
     for k in (2, 4):
         (_, hits), peak = _traced_peak(lambda: offline_markov_hit_rate(trace, k, 4))
         reference_hits, reference_peak = _traced_peak(lambda: top_c_hits_reference(
             Counter(zip(TupleWindow(k).states(trace.requests), trace.requests)), 4))
         assert hits == reference_hits
         assert peak <= 0.75 * reference_peak, (k, peak, reference_peak)
+
+
+def test_lz_oracle_peak_stays_below_the_node_tree(oracle_trace):
+    # The flat parse tree and its streamed states must peak at most 0.8 of
+    # what one node object per node and a T-long list of states peak at.
+    def reference_pass():
+        tree = NodeTree(16)
+        return top_c_hits(state_file_counts(tree, oracle_trace.requests, 16), 4, 16), tree
+
+    (_, hits, nodes), peak = _traced_peak(lambda: offline_lz_oracle(oracle_trace, 4))
+    (reference_hits, reference), reference_peak = _traced_peak(reference_pass)
+    assert (hits, nodes) == (reference_hits, reference.node_count)
+    assert peak <= 0.8 * reference_peak, (peak, reference_peak)
 
 
 def test_order_zero_policy_identical_to_plain_sage():

@@ -2,7 +2,7 @@
 
 import math
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from heapq import nlargest
 from itertools import accumulate, combinations
 
@@ -132,19 +132,73 @@ def reference_parse(requests) -> list[tuple[int, ...]]:
 def parsed_tree(trace: RequestTrace) -> LzTree:
     """The LZ-78 parse tree walked over the whole trace."""
     tree = LzTree(trace.n_files)
-    tree.states(trace.requests)
+    deque(tree.states(trace.requests), maxlen=0)
     return tree
 
 
 def tree_phrases(tree: LzTree) -> list[tuple[int, ...]]:
     """The completed phrases of a parse tree, in order. Phrase i is the path
     from the root to node i + 1: a node is created when its phrase
-    completes, after its parent's."""
+    completes, after its parent's, so the edges are in child-id order."""
     phrases = []
-    for node in tree.nodes[1:]:
-        prefix = phrases[node.parent - 1] if node.parent else ()
-        phrases.append(prefix + (node.symbol,))
+    for key in tree.edges:
+        parent, symbol = divmod(key, tree.n_files)
+        phrases.append((phrases[parent - 1] if parent else ()) + (symbol,))
     return phrases
+
+
+class LzNode:
+    __slots__ = ("parent", "depth", "symbol", "children", "visits")
+
+    def __init__(self, parent: int, depth: int, symbol: int):
+        self.parent = parent
+        self.depth = depth
+        self.symbol = symbol  # edge label from the parent; -1 at the root
+        self.children: dict[int, int] = {}
+        self.visits = 0  # requests consumed while this node was current
+
+
+class NodeTree:
+    """A reference for `LzTree`: one node object, with its own children dict
+    and live visit count, per parse-tree node, and a `states` that returns
+    the T-long list."""
+
+    def __init__(self, n_files: int):
+        self.n_files = n_files
+        self.nodes = [LzNode(parent=-1, depth=0, symbol=-1)]
+        self.current = 0
+        self.phrase_count = 0
+
+    @property
+    def node_count(self) -> int:
+        return len(self.nodes)
+
+    def consumed(self) -> int:
+        return sum(node.visits for node in self.nodes)
+
+    def advance(self, request: int) -> None:
+        if not 0 <= request < self.n_files:
+            raise DomainError(f"request {request} outside [0, {self.n_files})")
+        cur = self.current
+        node = self.nodes[cur]
+        node.visits += 1
+        child = node.children.get(request)
+        if child is None:
+            child_id = len(self.nodes)
+            self.nodes.append(LzNode(parent=cur, depth=node.depth + 1, symbol=request))
+            node.children[request] = child_id
+            self.phrase_count += 1
+            self.current = 0
+        else:
+            self.current = child
+
+    def states(self, requests) -> list:
+        return advance_walk(self, requests)
+
+    def dump_lines(self) -> list[str]:
+        """The lines `lz.dump_tree` writes, from the live visits."""
+        return [f"{nid} {node.parent} {node.depth} {node.symbol} {node.visits}"
+                for nid, node in enumerate(self.nodes)]
 
 
 def advance_walk(machine, requests) -> list:
