@@ -2,6 +2,7 @@
 
 File identifiers are 0-based everywhere inside the library. Trace files on
 disk may declare 1-based ids via their header and are shifted on load.
+The records here and in `fsm`, `sage` and `harness` are plain slotted classes.
 
 Reproducibility contract
 ------------------------
@@ -20,8 +21,6 @@ implementations; the algorithm is restated in full in `SplitMix64`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class UniCacheError(Exception):
@@ -90,23 +89,20 @@ class SplitMix64:
         return self.next_u64() % n
 
 
-@dataclass
 class RequestTrace:
     """An ordered sequence of file requests over a library of `n_files` files."""
 
-    n_files: int
-    requests: list[int]
+    __slots__ = ("n_files", "requests")
 
-    def __post_init__(self):
-        if self.n_files < 1:
-            raise DomainError(f"library size must be >= 1, got {self.n_files}")
-        n = self.n_files
-        requests = self.requests
+    def __init__(self, n_files: int, requests: list[int]):
+        if n_files < 1:
+            raise DomainError(f"library size must be >= 1, got {n_files}")
         # min/max run in C; the loop only names the first bad round.
-        if requests and (min(requests) < 0 or max(requests) >= n):
+        if requests and (min(requests) < 0 or max(requests) >= n_files):
             for t, x in enumerate(requests):
-                if not 0 <= x < n:
-                    raise DomainError(f"request {x} at round {t} outside [0, {n})")
+                if not 0 <= x < n_files:
+                    raise DomainError(f"request {x} at round {t} outside [0, {n_files})")
+        self.n_files, self.requests = n_files, requests
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -115,17 +111,16 @@ class RequestTrace:
         return iter(self.requests)
 
 
-@dataclass(frozen=True)
 class CacheSet:
     """A set of distinct file ids held in cache, with its library size."""
 
-    files: frozenset[int]
-    n_files: int
+    __slots__ = ("files", "n_files")
 
-    def __post_init__(self):
-        for f in self.files:
-            if not 0 <= f < self.n_files:
-                raise DomainError(f"cached file {f} outside [0, {self.n_files})")
+    def __init__(self, files: frozenset[int], n_files: int):
+        for f in files:
+            if not 0 <= f < n_files:
+                raise DomainError(f"cached file {f} outside [0, {n_files})")
+        self.files, self.n_files = files, n_files
 
     def __contains__(self, file_id: int) -> bool:
         return file_id in self.files
@@ -135,16 +130,15 @@ class CacheSet:
         return len(self.files)
 
 
-@dataclass
 class RunRecord:
     """Per-round hit sequence of one policy run."""
 
-    policy_name: str
-    hits: bytes
+    __slots__ = ("policy_name", "hits")
 
-    def __post_init__(self):
-        if self.hits.translate(None, b"\x00\x01"):
+    def __init__(self, policy_name: str, hits: bytes):
+        if hits.translate(None, b"\x00\x01"):
             raise DomainError("hit entries must be 0 or 1")
+        self.policy_name, self.hits = policy_name, hits
 
     @property
     def T(self) -> int:

@@ -29,7 +29,6 @@ trace, so only the parse tree checks them again.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from heapq import nlargest
 from itertools import accumulate, compress, islice, repeat
 from operator import add, contains, floordiv, mul
@@ -37,43 +36,48 @@ from operator import add, contains, floordiv, mul
 from .core import CacheSet, DataError, DomainError, RequestTrace, RunRecord
 
 
-@dataclass
 class FsmSpec:
     """State set [0, n_states), transition table (state x file -> state), start state."""
 
-    n_states: int
-    n_files: int
-    transitions: list[list[int]]
-    initial_state: int
+    __slots__ = ("n_states", "n_files", "transitions", "initial_state")
 
-    def __post_init__(self):
-        if self.n_states < 1 or self.n_files < 1:
+    def __init__(self, n_states: int, n_files: int, transitions: list[list[int]],
+                 initial_state: int):
+        if n_states < 1 or n_files < 1:
             raise DomainError("an FSM needs at least one state and one file")
-        if not 0 <= self.initial_state < self.n_states:
-            raise DomainError(f"initial state {self.initial_state} outside [0, {self.n_states})")
-        if len(self.transitions) != self.n_states:
-            raise DomainError(f"expected {self.n_states} transition rows, got {len(self.transitions)}")
-        for s, row in enumerate(self.transitions):
-            if len(row) != self.n_files:
-                raise DomainError(f"transition row {s} has {len(row)} entries, expected {self.n_files}")
+        if not 0 <= initial_state < n_states:
+            raise DomainError(f"initial state {initial_state} outside [0, {n_states})")
+        if len(transitions) != n_states:
+            raise DomainError(f"expected {n_states} transition rows, got {len(transitions)}")
+        for s, row in enumerate(transitions):
+            if len(row) != n_files:
+                raise DomainError(f"transition row {s} has {len(row)} entries, expected {n_files}")
             for x, nxt in enumerate(row):
-                if not 0 <= nxt < self.n_states:
-                    raise DomainError(f"transition[{s}][{x}]={nxt} outside [0, {self.n_states})")
+                if not 0 <= nxt < n_states:
+                    raise DomainError(f"transition[{s}][{x}]={nxt} outside [0, {n_states})")
+        self.n_states, self.n_files = n_states, n_files
+        self.transitions, self.initial_state = transitions, initial_state
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n_states, self.n_files, self.transitions, self.initial_state) == \
+            (other.n_states, other.n_files, other.transitions, other.initial_state)
 
 
-@dataclass
 class Prefetcher:
     """One cache set per FSM state."""
 
-    caches: list[CacheSet]
+    __slots__ = ("caches",)
 
-    def __post_init__(self):
-        if not self.caches:
+    def __init__(self, caches: list[CacheSet]):
+        if not caches:
             raise DomainError("a prefetcher needs at least one state entry")
-        size = self.caches[0].size
-        for s, c in enumerate(self.caches):
+        size = caches[0].size
+        for s, c in enumerate(caches):
             if c.size != size:
                 raise DomainError(f"state {s} caches {c.size} files, expected {size}")
+        self.caches = caches
 
     @property
     def cache_size(self) -> int:

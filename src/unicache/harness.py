@@ -40,8 +40,8 @@ from __future__ import annotations
 import configparser
 import marshal
 import os
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from . import bounds
 from .core import ConfigError, DataError, RequestTrace, load_trace, replay
@@ -54,11 +54,10 @@ from .sage import EtaConfig, SagePolicy, lockstep_replay
 CSV_HEADER = "policy,k,seed,T,N,C,hits,hit_rate,regret_static,regret_markov_k,bound_value"
 
 
-@dataclass(frozen=True)
-class PolicySpec:
-    kind: str
-    order: int | None = None
-    path: str | None = None
+class PolicySpec(namedtuple("PolicySpec", "kind order path", defaults=(None, None))):
+    """One policy of a config; equal specs share a job."""
+
+    __slots__ = ()
 
     @property
     def label(self) -> str:
@@ -71,39 +70,40 @@ class PolicySpec:
         return self.kind
 
 
-@dataclass
 class ExperimentConfig:
-    cache_size: int
-    policies: list[PolicySpec]
-    seeds: list[int]
-    trace_path: str | None = None
-    gen_states: int | None = None
-    gen_files: int | None = None
-    gen_set_size: int | None = None
-    gen_rounds: int | None = None
-    gen_seed: int = 0
-    eta: float | None = None
-    eta_mode: str = "doubling"
-    horizon_hint: int | None = None
-    out: str | None = None
+    __slots__ = ("cache_size", "policies", "seeds", "trace_path", "gen_states", "gen_files",
+                 "gen_set_size", "gen_rounds", "gen_seed", "eta", "eta_mode", "horizon_hint",
+                 "out")
+
+    def __init__(self, cache_size: int, policies: list[PolicySpec], seeds: list[int],
+                 trace_path: str | None = None, gen_states: int | None = None,
+                 gen_files: int | None = None, gen_set_size: int | None = None,
+                 gen_rounds: int | None = None, gen_seed: int = 0, eta: float | None = None,
+                 eta_mode: str = "doubling", horizon_hint: int | None = None,
+                 out: str | None = None):
+        self.cache_size, self.policies, self.seeds = cache_size, policies, seeds
+        self.trace_path, self.gen_seed = trace_path, gen_seed
+        self.gen_states, self.gen_files = gen_states, gen_files
+        self.gen_set_size, self.gen_rounds = gen_set_size, gen_rounds
+        self.eta, self.eta_mode, self.horizon_hint = eta, eta_mode, horizon_hint
+        self.out = out
 
     def eta_config(self) -> EtaConfig:
         return EtaConfig(mode=self.eta_mode, eta=self.eta, horizon=self.horizon_hint)
 
 
-@dataclass
 class ResultRow:
-    policy: str
-    order: int | None
-    seed: int | None
-    T: int
-    n_files: int
-    cache_size: int
-    hits: int
-    hit_rate: float
-    regret_static: int | None = None
-    regret_markov_k: int | None = None
-    bound_value: float | None = None
+    __slots__ = ("policy", "order", "seed", "T", "n_files", "cache_size", "hits", "hit_rate",
+                 "regret_static", "regret_markov_k", "bound_value")
+
+    def __init__(self, policy: str, order: int | None, seed: int | None, T: int, n_files: int,
+                 cache_size: int, hits: int, hit_rate: float, regret_static: int | None = None,
+                 regret_markov_k: int | None = None, bound_value: float | None = None):
+        self.policy, self.order, self.seed, self.T = policy, order, seed, T
+        self.n_files, self.cache_size = n_files, cache_size
+        self.hits, self.hit_rate = hits, hit_rate
+        self.regret_static, self.regret_markov_k = regret_static, regret_markov_k
+        self.bound_value = bound_value
 
 
 def parse_policy_spec(text: str) -> PolicySpec:

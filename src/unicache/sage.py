@@ -48,7 +48,6 @@ walks the shared Madow table. `MachineSagePolicy.step` is the one-lane case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import add, mul
@@ -179,7 +178,7 @@ def _madow_table(p) -> tuple[list[float], int]:
     cum = [0.0]
     acc = 0.0
     for pj in p:
-        if pj < -1e-12 or pj > 1.0 + 1e-9:
+        if not (pj >= -1e-12 and pj <= 1.0 + 1e-9):  # a NaN fails both
             raise DomainError(f"inclusion probability p[{len(cum) - 1}]={pj} outside [0, 1]")
         acc += pj if pj < 1.0 else 1.0
         cum.append(acc)
@@ -218,7 +217,6 @@ def _madow_walk(cum: list[float], c: int, u: float, x: int,
 # Policy state
 
 
-@dataclass(frozen=True)
 class EtaConfig:
     """Learning-rate schedule for a Hedge/SAGE instance.
 
@@ -236,17 +234,17 @@ class EtaConfig:
     for a fully adaptive tuning.
     """
 
-    mode: str = "doubling"
-    eta: float | None = None
-    horizon: int | None = None
+    __slots__ = ("mode", "eta", "horizon")
 
-    def __post_init__(self):
-        if self.mode not in ("fixed", "doubling"):
-            raise DomainError(f"eta mode must be 'fixed' or 'doubling', got {self.mode!r}")
-        if self.eta is not None and not 0 < self.eta < math.inf:
-            raise DomainError(f"eta must be positive and finite, got {self.eta}")
-        if self.horizon is not None and self.horizon < 1:
-            raise DomainError(f"horizon hint must be >= 1, got {self.horizon}")
+    def __init__(self, mode: str = "doubling", eta: float | None = None,
+                 horizon: int | None = None):
+        if mode not in ("fixed", "doubling"):
+            raise DomainError(f"eta mode must be 'fixed' or 'doubling', got {mode!r}")
+        if eta is not None and not 0 < eta < math.inf:
+            raise DomainError(f"eta must be positive and finite, got {eta}")
+        if horizon is not None and horizon < 1:
+            raise DomainError(f"horizon hint must be >= 1, got {horizon}")
+        self.mode, self.eta, self.horizon = mode, eta, horizon
 
     def initial_eta(self, n_files: int, cache_size: int) -> float:
         if self.eta is not None:

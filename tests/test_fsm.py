@@ -119,6 +119,14 @@ def test_fsm_spec_validation():
         FsmSpec(2, 2, [[0, 1], [1, 0]], 5)
 
 
+def test_fsm_spec_equality_is_by_value():
+    spec = FsmSpec(2, 3, [[0, 1, 1], [1, 0, 0]], 0)
+    assert spec == FsmSpec(2, 3, [[0, 1, 1], [1, 0, 0]], 0)
+    assert spec != FsmSpec(2, 3, [[0, 1, 1], [1, 0, 1]], 0)  # one transition entry
+    assert spec != FsmSpec(2, 3, [[0, 1, 1], [1, 0, 0]], 1)
+    assert spec != (2, 3, [[0, 1, 1], [1, 0, 0]], 0)
+
+
 def test_visit_counts_worked_example():
     spec, trace, counts, _ = worked_example()
     visits = state_file_counts(FsmRunner(spec), trace.requests, 5)

@@ -23,6 +23,23 @@ def test_parse_policy_specs():
             parse_policy_spec(bad)
 
 
+def test_policy_spec_is_a_value():
+    # Equal specs are one job-table key: a repeated policy shares its job.
+    assert PolicySpec("markov", 2) == PolicySpec("markov", order=2)
+    assert hash(PolicySpec("markov", 2)) == hash(PolicySpec(kind="markov", order=2))
+    assert PolicySpec("markov", 2) != PolicySpec("markov-oracle", 2)
+    assert PolicySpec("fsp-oracle", path="a.fsm") != PolicySpec("fsp-oracle", path="b.fsm")
+    jobs = {PolicySpec("sage"): 1, PolicySpec("markov-oracle", 0): 2}
+    jobs[parse_policy_spec(" sage ")] = 3
+    jobs[parse_policy_spec("markov-oracle:0")] += 10
+    assert jobs == {PolicySpec("sage"): 3, PolicySpec("markov-oracle", 0): 12}
+    # A label reads back as the spec text, for every kind.
+    for text in ("sage", "lz", "lru", "fifo", "static-oracle", "lz-oracle", "markov:3",
+                 "markov-oracle:0", "fsp-oracle:m.fsm"):
+        assert parse_policy_spec(text).label == text
+    assert PolicySpec("sage").order is None and PolicySpec("sage").path is None
+
+
 def _write_config(path, body):
     path.write_text(body)
     return parse_config(path)
@@ -45,6 +62,26 @@ eta = auto
     assert cfg.gen_states == 10 and cfg.gen_files == 4 and cfg.gen_rounds == 500
     assert cfg.seeds == [0, 1, 2]
     assert cfg.eta is None and cfg.eta_mode == "doubling"
+
+
+def test_parse_config_defaults(tmp_path):
+    cfg = _write_config(tmp_path / "min.ini", """
+[trace]
+states = 2
+files = 3
+rounds = 10
+
+[run]
+cache_size = 2
+policies = sage
+""")
+    assert (cfg.cache_size, cfg.policies, cfg.seeds) == (2, [PolicySpec("sage")], [0])
+    assert (cfg.trace_path, cfg.gen_set_size) == (None, None)
+    assert (cfg.gen_seed, cfg.eta, cfg.eta_mode, cfg.horizon_hint, cfg.out) == \
+        (0, None, "doubling", None, None)
+    direct = ExperimentConfig(2, [PolicySpec("sage")], [0])
+    assert (direct.gen_seed, direct.eta, direct.eta_mode, direct.horizon_hint, direct.out) == \
+        (0, None, "doubling", None, None)
 
 
 def test_parse_config_errors(tmp_path):

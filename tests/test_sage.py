@@ -533,6 +533,18 @@ def test_madow_validates_inputs():
         madow_sample([1.4, 0.6], 0.1)
 
 
+@pytest.mark.parametrize("p,index", [
+    ([math.nan, 1.0], 0),
+    ([0.5, math.nan, 0.5], 1),
+    ([0.5, 0.5, math.nan], 2),
+])
+def test_madow_rejects_a_nan_probability(p, index):
+    # A NaN fails every comparison, so a range check written as two
+    # rejections let it through, and the clamp then counted it as 1.
+    with pytest.raises(DomainError, match=rf"p\[{index}\]=nan outside \[0, 1\]"):
+        madow_sample(p, 0.3)
+
+
 # ---------------------------------------------------------------------------
 # policy state and sampling
 

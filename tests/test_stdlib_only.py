@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import unicache
 
 PACKAGE = Path(unicache.__file__).resolve().parent
@@ -38,5 +40,21 @@ def test_cli_import_loads_no_process_pool_machinery():
             "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))")
     heavy = ("multiprocessing", "concurrent.futures", "subprocess", "pickle", "decimal")
     loaded = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent), *heavy],
+                            capture_output=True, text=True, check=True).stdout.split()
+    assert loaded == []
+
+
+@pytest.mark.parametrize("module", ["unicache", "unicache.cli"])
+def test_import_loads_no_record_machinery(module):
+    # The records are plain slotted classes: `dataclasses` would bring
+    # `inspect`, `ast` and `dis` and exec generated code at every start-up,
+    # a large share of a short run's wall time. `typing` is left out: the
+    # interpreter's `site` already loads it. `-I` ignores
+    # PYTHONDONTWRITEBYTECODE, so `-B` keeps the child from leaving a
+    # bytecode cache under `src` that later timings would read.
+    code = (f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
+            "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))")
+    heavy = ("dataclasses", "inspect", "ast", "dis")
+    loaded = subprocess.run([sys.executable, "-I", "-B", "-c", code, str(PACKAGE.parent), *heavy],
                             capture_output=True, text=True, check=True).stdout.split()
     assert loaded == []
