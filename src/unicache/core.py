@@ -12,8 +12,9 @@ per cache sample (see `sage.madow_sample`), nothing else. A seed draws
 exactly one `next_float` per round, in the same order, whether its policy
 runs alone under `replay` or beside other seeds under
 `sage.lockstep_replay`, so both give the same hits. The experiment harness
-may run different policies in different processes, but all seeds of one
-policy run in lockstep in one process and no draw depends on the process,
+may run different policies in different processes, and under fixed eta
+ranges of one policy's rounds, each range's seeds in lockstep from their
+generators' `skip` to its first round. No draw depends on the process,
 so a run's results do not depend on how many CPUs it uses. The trace
 generator's draw schedule is documented in `datagen`. SplitMix64 is a
 well-known, portable 64-bit generator, so seeds transfer across
@@ -44,6 +45,7 @@ class ConfigError(UniCacheError):
 
 
 _MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state step, the state's only change per draw
 
 
 class SplitMix64:
@@ -51,7 +53,7 @@ class SplitMix64:
 
     State update and output, all in 64-bit wrapping arithmetic:
 
-        state += 0x9E3779B97F4A7C15
+        state += 0x9E3779B97F4A7C15    (GAMMA)
         z = state
         z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
         z = (z ^ (z >> 27)) * 0x94D049BB133111EB
@@ -69,7 +71,7 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -77,11 +79,15 @@ class SplitMix64:
 
     def next_float(self) -> float:
         # `next_u64` inlined: the call is a measurable share of a lockstep lane.
-        s = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        s = (self._state + GAMMA) & _MASK64
         self._state = s
         z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+    def skip(self, draws: int) -> None:
+        """Jump to where `draws` more draws would leave the generator."""
+        self._state = (self._state + draws * GAMMA) & _MASK64
 
     def next_below(self, n: int) -> int:
         if n <= 0:

@@ -31,8 +31,10 @@ at order 0 for lz.
 
 Each distinct result is an independent job. A run with two jobs or more
 spreads them over one process per CPU in its affinity mask (``taskset -c 0``
-gives one process): `run_experiment` forks the helpers itself. The CSV, and
-the error a failing run raises, are those of a one-process run.
+gives one process): `run_experiment` forks the helpers itself, which claim
+the learning jobs first. Under ``eta_mode = fixed`` a learning policy runs
+as one job per CPU, each over a range of its rounds. The CSV, and the
+error a failing run raises, are those of a one-process run.
 """
 
 from __future__ import annotations
@@ -254,8 +256,9 @@ def run_experiment(cfg: ExperimentConfig, trace: RequestTrace | None = None) -> 
     Each distinct result is one job: the oracle pass of each markov order
     (order 0 is the static oracle), the lz oracle, the fsp oracle of each
     machine file, the LRU and FIFO replays, and one `lockstep_replay` of all
-    seeds per learning spec. `_run_jobs` spreads the jobs over the CPUs; the
-    rows are assembled afterwards in config order.
+    seeds per learning spec (under fixed eta, one per CPU over a range of the
+    rounds, summed per seed). `_run_jobs` spreads the jobs over the CPUs,
+    learning jobs first; the rows are assembled afterwards in config order.
     """
     if trace is None:
         trace = materialize_trace(cfg)
@@ -268,10 +271,10 @@ def run_experiment(cfg: ExperimentConfig, trace: RequestTrace | None = None) -> 
     machines = {p.path: load_fsm(p.path)[0] for p in policies if p.kind == "fsp-oracle"}
 
     # Job key -> job, in the order a serial run computes them. The keys are
-    # the specs whose rows the results fill; static-oracle reads the order-0
-    # markov oracle.
+    # the specs whose rows the results fill, and (spec, i) for range i of a
+    # learning spec; static-oracle reads the order-0 markov oracle.
     static = PolicySpec("markov-oracle", 0)
-    jobs: dict[PolicySpec, Callable] = {}
+    jobs: dict = {}
     orders = {p.order for p in policies if p.kind in ("markov", "markov-oracle")}
     if kinds & {"sage", "static-oracle"}:
         orders.add(0)
@@ -279,19 +282,29 @@ def run_experiment(cfg: ExperimentConfig, trace: RequestTrace | None = None) -> 
         jobs[PolicySpec("markov-oracle", k)] = lambda k=k: offline_markov_hit_rate(trace, k, c)[1]
     if kinds & {"lz", "lz-oracle"}:
         jobs[PolicySpec("lz-oracle")] = lambda: offline_lz_oracle(trace, c)
-    for spec in policies:
-        if spec in jobs or spec.kind in ("static-oracle", "lz-oracle"):
-            continue
+    rest = [spec for spec in dict.fromkeys(policies)
+            if spec not in jobs and spec.kind not in ("static-oracle", "lz-oracle")]
+    # Under fixed eta a learning spec's rounds are independent work: it runs
+    # as one job per CPU over a range of rounds, if the claim pipe holds them.
+    learning = sum(spec.kind in ("sage", "markov", "lz") for spec in rest)
+    parts = _cpus() if eta_cfg.mode == "fixed" else 1
+    if len(jobs) + len(rest) + learning * (parts - 1) > _MAX_QUEUED:
+        parts = 1
+    first = []  # the learning jobs, the long ones, which are claimed first
+    for spec in rest:
         if spec.kind == "fsp-oracle":
             jobs[spec] = lambda m=machines[spec.path]: offline_fsp_hits(m, trace, c)[0]
         elif spec.kind in ("lru", "fifo"):
             cls = LruPolicy if spec.kind == "lru" else FifoPolicy
             jobs[spec] = lambda cls=cls: replay(cls(n, c), trace).cumulative_hits
-        else:  # all seeds in one job, so that they share the machine walk
-            jobs[spec] = lambda spec=spec: [
-                record.cumulative_hits
-                for record in lockstep_replay(_learners(spec, n, c, eta_cfg, seeds), trace)]
-    results = dict(zip(jobs, _run_jobs(list(jobs.values()))))
+        else:  # all seeds in lockstep, so that they share the machine walk
+            for i in range(parts):
+                first.append(len(jobs))
+                jobs[spec, i] = lambda spec=spec, i=i: [
+                    record.cumulative_hits for record in lockstep_replay(
+                        _learners(spec, n, c, eta_cfg, seeds), trace,
+                        horizon * i // parts, horizon * (i + 1) // parts)]
+    results = dict(zip(jobs, _run_jobs(list(jobs.values()), first)))
 
     static_hits = results.get(static)
     regret_order = max((p.order for p in policies if p.kind == "markov-oracle"), default=None)
@@ -309,7 +322,7 @@ def run_experiment(cfg: ExperimentConfig, trace: RequestTrace | None = None) -> 
             lz_misses, _, tree_nodes = results[PolicySpec("lz-oracle")]
             bound = bounds.lz_regret_bound(0, tree_nodes, lz_misses, n, c)
         if spec.kind in ("sage", "markov", "lz"):
-            seed_hits = results[spec]
+            seed_hits = [sum(hits) for hits in zip(*(results[spec, i] for i in range(parts)))]
         else:
             hits = results[static if spec.kind == "static-oracle" else spec]
             seed_hits = [hits[1] if spec.kind == "lz-oracle" else hits] * len(seeds)
@@ -326,39 +339,42 @@ def run_experiment(cfg: ExperimentConfig, trace: RequestTrace | None = None) -> 
     return rows
 
 
-def _run_jobs(jobs: list[Callable]) -> list:
+def _cpus() -> int:
+    """The CPUs in the process's affinity mask; 1 on a platform without masks."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _run_jobs(jobs: list[Callable], first=()) -> list:
     """`[job() for job in jobs]`, computed on every CPU the process may use.
 
     A job returns ints, floats or lists and tuples of them. With more than
     one CPU in the affinity mask and at least two jobs, the parent forks one
-    helper per extra CPU (see `_run_forked`). Then, in index order, it runs
-    every job that has no result yet: a job that raised, or whose helper
-    died, runs again here, so the first failing job raises its own exception,
-    as in a serial run.
+    helper per extra CPU (see `_run_forked`); the workers claim the jobs
+    whose indices are in `first` before the rest. Then, in index order, the
+    parent runs every job that has no result yet: a job that raised, or whose
+    helper died, runs again here, so the first failing job raises its own
+    exception, as in a serial run.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without affinity masks
-        cpus = 1
-    helpers = min(cpus, len(jobs)) - 1
+    helpers = min(_cpus(), len(jobs)) - 1
     done = {}
     if helpers > 0 and len(jobs) <= _MAX_QUEUED:
-        done = _run_forked(jobs, helpers)
+        order = [*first, *sorted(set(range(len(jobs))).difference(first))]
+        done = _run_forked(jobs, helpers, order)
     return [done[i] if i in done else job() for i, job in enumerate(jobs)]
 
 
-def _run_forked(jobs: list[Callable], helpers: int) -> dict:
+def _run_forked(jobs: list[Callable], helpers: int, order: list[int]) -> dict:
     """The results, by index, of the jobs that ran without raising in the
     parent or in one of `helpers` forked helpers.
 
-    The job indices wait in one pipe in table order, and every worker
-    claims the next one with a read. A worker whose job raised skips the later
-    indices it claims: a serial run would not reach them. Each helper sends
-    its results back `marshal`led through a pipe of its own and leaves with
-    `os._exit`; the parent reaps every helper before it returns or raises.
+    The job indices wait in one pipe in claim `order`, and every worker
+    claims the next one with a read. A worker whose job raised skips the
+    higher indices it claims: a serial run would not reach them. Each helper
+    sends its results back `marshal`led through a pipe of its own and leaves
+    with `os._exit`; the parent reaps every helper before it returns or raises.
     """
     queue, queue_w = os.pipe()
-    os.write(queue_w, b"".join(i.to_bytes(2, "little") for i in range(len(jobs))))
+    os.write(queue_w, b"".join(i.to_bytes(2, "little") for i in order))
     os.close(queue_w)
     children = []  # (pid, read end of the helper's result pipe)
     try:

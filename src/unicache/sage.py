@@ -43,17 +43,19 @@ The seeds of one per-state policy visit the same states with the same
 counts. `lockstep_replay` runs them on one machine walk, one marginal
 vector per distinct eta per round; each seed's lane draws one uniform and
 walks the shared Madow table. `MachineSagePolicy.step` is the one-lane case.
+Under fixed eta no marginal depends on a draw, so a lockstep run may start
+at any round, from the counts and generator states of that round.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, mul
 
 from .core import DomainError, NumericError, RequestTrace, RunRecord, SplitMix64
-from .fsm import Window
+from .fsm import Window, state_file_counts
 
 # Below this bound on every e_a(w), a <= m, nothing overflows, e_m >= 1, and
 # each underflow moves a marginal by at most 2**-1075 * _PLAIN_MAX = 2**-175.
@@ -374,8 +376,10 @@ def _play_round(lanes, request: int, hits: bytearray, shared: dict | None) -> No
         hits.append(hit)
 
 
-def lockstep_replay(policies, trace: RequestTrace) -> list[RunRecord]:
-    """`[replay(p, trace) for p in policies]`, walking the machine once.
+def lockstep_replay(policies, trace: RequestTrace, start: int = 0,
+                    stop: int | None = None) -> list[RunRecord]:
+    """`[replay(p, trace) for p in policies]`, walking the machine once; only
+    rounds [start, stop) of it are played and recorded.
 
     The policies must be distinct, fresh and built alike but for their seeds
     and eta schedules: the same class, name, sizes and start state. Their state
@@ -383,7 +387,13 @@ def lockstep_replay(policies, trace: RequestTrace) -> list[RunRecord]:
     walk the first policy's machine, which becomes every policy's `machine`,
     and each round evaluates one marginal vector per distinct eta. Every
     policy draws one uniform per round in the same order as under `replay`
-    and ends in the state `replay` leaves it in.
+    and, from start 0, ends in the state `replay` leaves it in.
+
+    Under fixed eta round t's marginals depend on the first t requests only,
+    so play may start at t > 0: a `state_file_counts` pass over them moves the
+    machine and gives each instance its state's counts, and each generator
+    skips t draws. Doubling eta with such a start, or a start below 0, is a
+    `DomainError`.
     """
     if not policies:
         return []
@@ -394,17 +404,25 @@ def lockstep_replay(policies, trace: RequestTrace) -> list[RunRecord]:
             or any(st.count_max for st in p.table.values()) for p in policies):
         raise DomainError("lockstep replay needs distinct fresh policies built alike "
                           "but for the seed")
-    machine = first.machine
+    if start < 0 or start and any(p.eta_config.mode != "fixed" for p in policies):
+        raise DomainError(f"a replay from round {start} needs start >= 0 and, above 0, fixed eta")
+    machine, n = first.machine, first.n_files
     for policy in policies:
         policy.machine = machine
+        policy.rng.skip(start)
+    before = state_file_counts(machine, trace.requests[:start], n) if start else None
     lanes_of: dict = {}  # state -> its lanes, one (generator, instance) per policy
     hits = bytearray()  # round-major: the hits of round t are hits[t*k:(t+1)*k]
     k = len(policies)
-    for x in trace.requests:
+    for x in islice(trace.requests, start, stop):
         state = machine.current
         lanes = lanes_of.get(state)
         if lanes is None:
             lanes = lanes_of[state] = [(p.rng, p._instance(state)) for p in policies]
+            if start:
+                counts = [before[state * n + f] for f in range(n)]
+                for _, st in lanes:
+                    st.counts, st.count_max = counts.copy(), max(counts)
         _play_round(lanes, x, hits, {} if k > 1 else None)
         machine.advance(x)
     return [RunRecord(policy_name=policy.name, hits=bytes(hits[i::k]))

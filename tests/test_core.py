@@ -96,6 +96,24 @@ def test_splitmix64_next_below():
         rng.next_below(0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(-2**70, 2**80), t=st.integers(0, 5_000),
+       kinds=st.lists(st.booleans(), min_size=1, max_size=6))
+def test_splitmix64_jumps_past_draws(seed, t, kinds):
+    # The state only adds GAMMA per draw, so t draws of either kind leave the
+    # generator seeded seed + t * GAMMA, which `skip(t)` also jumps to.
+    walked = SplitMix64(seed)
+    for i in range(t):
+        walked.next_float() if i % 2 else walked.next_u64()
+    jumped = SplitMix64(seed + t * core.GAMMA)
+    skipped = SplitMix64(seed)
+    skipped.skip(t)
+    for as_u64 in kinds:
+        draws = [rng.next_u64() if as_u64 else rng.next_float()
+                 for rng in (walked, jumped, skipped)]
+        assert draws[0] == draws[1] == draws[2]
+
+
 def test_trace_validation():
     with pytest.raises(DomainError):
         RequestTrace(3, [0, 3])

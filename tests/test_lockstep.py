@@ -211,3 +211,31 @@ def test_lockstep_validates():
                   [SagePolicy(3, 2, eta, 0), SagePolicy(3, 1, eta, 1)]):
         with pytest.raises(DomainError):
             lockstep_replay(mixed, None)
+
+
+@pytest.mark.parametrize("label", POLICIES)
+def test_fixed_eta_rounds_replay_in_ranges(readme_trace, label):
+    # Each range starts from the counts, machine and generator states of its
+    # first round, so the ranges' records join into the whole run's.
+    eta = _eta("fixed")
+    whole = lockstep_replay([_make(label, eta, s) for s in range(3)], readme_trace)
+    cuts = (0, 1, 7_000, 7_001, ROUNDS - 1, ROUNDS)
+    parts = [lockstep_replay([_make(label, eta, s) for s in range(3)], readme_trace, lo, hi)
+             for lo, hi in zip(cuts, cuts[1:])]
+    assert [b"".join(part[i].hits for part in parts) for i in range(3)] == \
+        [r.hits for r in whole]
+    assert lockstep_replay([_make(label, eta, 0)], readme_trace, ROUNDS, None)[0].hits == b""
+
+
+def test_a_range_past_round_0_needs_fixed_eta(readme_trace):
+    # Doubling eta shrinks on a lane's own misses, which a range cannot know.
+    trace = RequestTrace(_FILES, readme_trace.requests[:200])
+    policies = [_make("markov:1", eta, seed) for seed, eta in
+                enumerate((_eta("fixed"), _eta("doubling")))]
+    for start in (1, -1):  # nor can a range start before round 0
+        with pytest.raises(DomainError, match=f"from round {start} needs"):
+            lockstep_replay(policies, trace, start, 200)
+    # The policies are untouched: from round 0 they replay as usual.
+    assert [r.hits for r in lockstep_replay(policies, trace, 0, 200)] == \
+        [replay(_make("markov:1", p.eta_config, seed), trace).hits
+         for seed, p in enumerate(policies)]

@@ -35,11 +35,12 @@ def test_cli_import_loads_no_process_pool_machinery():
     # The harness forks its helpers with `os` and returns results with
     # `marshal`; a process pool would add its import time and memory to
     # every run, even a serial one. `decimal` is imported by the marginal
-    # evaluator's wide fallback alone, which most runs never reach.
+    # evaluator's wide fallback alone, which most runs never reach. `-B`, as
+    # `-I` ignores PYTHONDONTWRITEBYTECODE: no bytecode cache is left in `src`.
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import unicache.cli; "
             "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))")
     heavy = ("multiprocessing", "concurrent.futures", "subprocess", "pickle", "decimal")
-    loaded = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent), *heavy],
+    loaded = subprocess.run([sys.executable, "-I", "-B", "-c", code, str(PACKAGE.parent), *heavy],
                             capture_output=True, text=True, check=True).stdout.split()
     assert loaded == []
 
