@@ -40,9 +40,11 @@ m >= 55 after the peel); those calls run the same tables in `decimal`,
 from the log weights.
 
 The seeds of one per-state policy visit the same states with the same
-counts. `lockstep_replay` runs them on one machine walk, one marginal
-vector per distinct eta per round; each seed's lane draws one uniform and
-walks the shared Madow table. `MachineSagePolicy.step` is the one-lane case.
+counts, and a seed's eta is a function of its miss count there. So each
+visited state keeps one record, its counts and one miss count per seed.
+`lockstep_replay` runs the seeds on one machine walk, one marginal vector
+per distinct eta per round; each seed's lane draws one uniform and walks
+the shared Madow table. `MachineSagePolicy.step` is the one-lane case.
 Under fixed eta no marginal depends on a draw, so a lockstep run may start
 at any round, from the counts and generator states of that round.
 """
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from operator import add, mul
 
 from .core import DomainError, NumericError, RequestTrace, RunRecord, SplitMix64
@@ -158,6 +160,14 @@ def _hedge_marginals(counts, eta: float, order: int) -> list[float]:
     return [1.0 - wi * f / e for wi, f in zip(w, loo)]
 
 
+def _marginals(counts, eta: float, cache_size: int) -> list[float]:
+    """Hedge marginals at order min(C, N - C); see the module docstring."""
+    n = len(counts)
+    if 2 * cache_size > n:  # the complement side, weights 1/w at order N - C
+        return _finish_marginals(_hedge_marginals(counts, -eta, n - cache_size), cache_size)
+    return _finish_marginals(_hedge_marginals(counts, eta, cache_size), cache_size)
+
+
 # ---------------------------------------------------------------------------
 # Madow's systematic sampling
 
@@ -257,31 +267,22 @@ class EtaConfig:
 
 
 class SageState:
-    """Sufficient statistic of one Hedge/SAGE instance: request counts + eta."""
+    """One fixed-eta Hedge/SAGE instance: request counts, eta and misses. The
+    policies keep per-state records instead (see `MachineSagePolicy`)."""
 
-    __slots__ = ("n_files", "cache_size", "counts", "count_max", "eta", "eta_mode",
-                 "misses", "_miss_mark")
+    __slots__ = ("n_files", "cache_size", "counts", "count_max", "eta", "misses")
 
-    def __init__(self, n_files: int, cache_size: int, eta: float, eta_mode: str = "fixed"):
+    def __init__(self, n_files: int, cache_size: int, eta: float):
         if not 1 <= cache_size <= n_files:
             raise DomainError(f"cache size {cache_size} outside [1, {n_files}]")
         if not 0 < eta < math.inf:
             raise DomainError(f"eta must be positive and finite, got {eta}")
-        if eta_mode not in ("fixed", "doubling"):
-            raise DomainError(f"eta mode must be 'fixed' or 'doubling', got {eta_mode!r}")
         self.n_files = n_files
         self.cache_size = cache_size
         self.counts = [0] * n_files
         self.count_max = 0
         self.eta = eta
-        self.eta_mode = eta_mode
         self.misses = 0
-        self._miss_mark = max(1, math.ceil(cache_size * math.log(n_files * math.e / cache_size)))
-
-    @classmethod
-    def fresh(cls, n_files: int, cache_size: int, config: EtaConfig | None = None) -> "SageState":
-        cfg = config if config is not None else EtaConfig()
-        return cls(n_files, cache_size, cfg.initial_eta(n_files, cache_size), cfg.mode)
 
     def weights(self) -> list[float]:
         """exp(eta * (R(i) - max R)); the shift keeps every weight in (0, 1]."""
@@ -291,11 +292,7 @@ class SageState:
         return [exp(eta * (c - cmax)) for c in self.counts]
 
     def marginals(self) -> list[float]:
-        """Hedge marginals at order min(C, N - C); see the module docstring."""
-        n, c = self.n_files, self.cache_size
-        if 2 * c > n:  # the complement side, weights 1/w at order N - C
-            return _finish_marginals(_hedge_marginals(self.counts, -self.eta, n - c), c)
-        return _finish_marginals(_hedge_marginals(self.counts, self.eta, c), c)
+        return _marginals(self.counts, self.eta, self.cache_size)
 
     def update(self, request: int) -> None:
         c = self.counts[request] + 1
@@ -305,9 +302,6 @@ class SageState:
 
     def note_miss(self) -> None:
         self.misses += 1
-        if self.eta_mode == "doubling" and self.misses >= self._miss_mark:
-            self.eta *= 0.7071067811865476  # 1/sqrt(2) per miss doubling
-            self._miss_mark *= 2
 
 
 class MachineSagePolicy:
@@ -315,65 +309,71 @@ class MachineSagePolicy:
 
     Each round the instance of the machine's current state Madow-samples a
     cache from one uniform draw of the policy's single generator, scores the
-    request, records it, and the machine advances. The start state's
-    instance is made at construction, so a bad cache size fails there; every
-    other is made on its state's first visit. `SageState.fresh` draws no
-    random numbers, so the draws do not depend on when instances are made.
+    request, records it, and the machine advances. `table` maps each visited
+    state to its record, made on the first visit with no draw: the state's
+    counts and, in a one-item list, the policy's miss count there. `etas[j]`
+    is eta after j threshold crossings (see `EtaConfig`): under doubling,
+    the initial eta times 1/sqrt(2) j times over, rounding each product in
+    turn. `mark0` is the first threshold.
     """
 
     def __init__(self, name: str, machine, n_files: int, cache_size: int,
                  eta_config: EtaConfig | None, seed: int):
+        if not 1 <= cache_size <= n_files:
+            raise DomainError(f"cache size {cache_size} outside [1, {n_files}]")
         self.name = name
         self.machine = machine
         self.n_files = n_files
         self.cache_size = cache_size
         self.eta_config = eta_config if eta_config is not None else EtaConfig()
+        rate = 0.7071067811865476 if self.eta_config.mode == "doubling" else 1.0
+        self.etas = list(accumulate(repeat(rate, 64), mul,
+                                    initial=self.eta_config.initial_eta(n_files, cache_size)))
+        self.mark0 = max(1, math.ceil(cache_size * math.log(n_files * math.e / cache_size)))
         self.rng = SplitMix64(seed)
-        self.table = {machine.current: SageState.fresh(n_files, cache_size, self.eta_config)}
+        self.table: dict = {}
 
     def step(self, request: int) -> int:
         state = self.machine.current
-        st = self.table.get(state)
-        if st is None:
-            st = self._instance(state)
+        record = self.table.get(state)
+        if record is None:
+            record = self.table[state] = ([0] * self.n_files, [0])
         hits = bytearray()
-        _play_round(((self.rng, st),), request, hits, None)
+        _play_round(self, ((self.rng, self.etas),), record, request, hits, None)
         self.machine.advance(request)
         return hits[0]
-
-    def _instance(self, state) -> SageState:
-        """The SAGE instance of `state`, made on the state's first visit."""
-        st = self.table.get(state)
-        if st is None:
-            st = SageState.fresh(self.n_files, self.cache_size, self.eta_config)
-            self.table[state] = st
-        return st
 
     @property
     def contexts_visited(self) -> int:
         return len(self.table)
 
 
-def _play_round(lanes, request: int, hits: bytearray, shared: dict | None) -> None:
-    """One round of each lane, a generator and its policy's instance for the
-    machine's current state: Madow-sample from one uniform, score, record,
-    and append the hit to `hits`. The lanes' instances hold equal counts, so
-    lanes with equal eta share one marginal vector and its Madow table
-    through `shared`, an empty dict each round; a single lane passes None.
+def _play_round(policy, lanes, record, request: int, hits: bytearray,
+                shared: dict | None) -> None:
+    """One round of each lane, a generator and an eta table, at the state of
+    `record`: Madow-sample from one uniform, score, count a miss, append the
+    hit to `hits`; then count the request. Lane i's miss count has crossed
+    the thresholds mark0, 2 * mark0, .. `(misses[i] // mark0).bit_length()`
+    times, below 65 for any count under 2**64 * mark0. Lanes with equal eta
+    share one marginal vector and Madow table through `shared`, an empty
+    dict each round; a single lane passes None.
     """
-    for rng, st in lanes:
+    counts, misses = record
+    c, mark0 = policy.cache_size, policy.mark0
+    for i, (rng, etas) in enumerate(lanes):
+        eta = etas[(misses[i] // mark0).bit_length()]
         if shared is None:
-            cum, c = _madow_table(st.marginals())
+            cum, size = _madow_table(_marginals(counts, eta, c))
         else:
-            table = shared.get(st.eta)
+            table = shared.get(eta)
             if table is None:
-                table = shared[st.eta] = _madow_table(st.marginals())
-            cum, c = table
-        hit = _madow_walk(cum, c, rng.next_float(), request)
-        st.update(request)
+                table = shared[eta] = _madow_table(_marginals(counts, eta, c))
+            cum, size = table
+        hit = _madow_walk(cum, size, rng.next_float(), request)
         if not hit:
-            st.note_miss()
+            misses[i] += 1
         hits.append(hit)
+    counts[request] += 1
 
 
 def lockstep_replay(policies, trace: RequestTrace, start: int = 0,
@@ -381,18 +381,19 @@ def lockstep_replay(policies, trace: RequestTrace, start: int = 0,
     """`[replay(p, trace) for p in policies]`, walking the machine once; only
     rounds [start, stop) of it are played and recorded.
 
-    The policies must be distinct, fresh and built alike but for their seeds
-    and eta schedules: the same class, name, sizes and start state. Their state
-    visits and per-state counts then depend on the trace alone, so they all
-    walk the first policy's machine, which becomes every policy's `machine`,
-    and each round evaluates one marginal vector per distinct eta. Every
-    policy draws one uniform per round in the same order as under `replay`
-    and, from start 0, ends in the state `replay` leaves it in.
+    The policies must be distinct, fresh (an empty `table`) and built alike
+    but for their seeds and eta schedules: the same class, name, sizes and
+    start state. Their state visits and per-state counts then depend on the
+    trace alone, so they walk the first policy's machine and fill its
+    `table`, one miss count per policy in each record; afterwards every
+    policy shares that machine and table, and so is not fresh. Each round
+    evaluates one marginal vector per distinct eta. Every policy draws one
+    uniform per round in the same order as under `replay`.
 
     Under fixed eta round t's marginals depend on the first t requests only,
     so play may start at t > 0: a `state_file_counts` pass over them moves the
-    machine and gives each instance its state's counts, and each generator
-    skips t draws. Doubling eta with such a start, or a start below 0, is a
+    machine and gives each state its counts, and each generator skips t
+    draws. Doubling eta with such a start, or a start below 0, is a
     `DomainError`.
     """
     if not policies:
@@ -401,29 +402,25 @@ def lockstep_replay(policies, trace: RequestTrace, start: int = 0,
     alike = (type(first), first.name, first.n_files, first.cache_size, first.machine.current)
     if len({id(p) for p in policies}) < len(policies) or any(
             (type(p), p.name, p.n_files, p.cache_size, p.machine.current) != alike
-            or any(st.count_max for st in p.table.values()) for p in policies):
+            or p.table for p in policies):
         raise DomainError("lockstep replay needs distinct fresh policies built alike "
                           "but for the seed")
     if start < 0 or start and any(p.eta_config.mode != "fixed" for p in policies):
         raise DomainError(f"a replay from round {start} needs start >= 0 and, above 0, fixed eta")
-    machine, n = first.machine, first.n_files
+    machine, table, n, k = first.machine, first.table, first.n_files, len(policies)
     for policy in policies:
-        policy.machine = machine
+        policy.machine, policy.table = machine, table
         policy.rng.skip(start)
     before = state_file_counts(machine, trace.requests[:start], n) if start else None
-    lanes_of: dict = {}  # state -> its lanes, one (generator, instance) per policy
+    lanes = [(p.rng, p.etas) for p in policies]
     hits = bytearray()  # round-major: the hits of round t are hits[t*k:(t+1)*k]
-    k = len(policies)
     for x in islice(trace.requests, start, stop):
         state = machine.current
-        lanes = lanes_of.get(state)
-        if lanes is None:
-            lanes = lanes_of[state] = [(p.rng, p._instance(state)) for p in policies]
-            if start:
-                counts = [before[state * n + f] for f in range(n)]
-                for _, st in lanes:
-                    st.counts, st.count_max = counts.copy(), max(counts)
-        _play_round(lanes, x, hits, {} if k > 1 else None)
+        record = table.get(state)
+        if record is None:
+            counts = [before[state * n + f] for f in range(n)] if start else [0] * n
+            record = table[state] = (counts, [0] * k)
+        _play_round(first, lanes, record, x, hits, {} if k > 1 else None)
         machine.advance(x)
     return [RunRecord(policy_name=policy.name, hits=bytes(hits[i::k]))
             for i, policy in enumerate(policies)]

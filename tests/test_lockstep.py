@@ -5,12 +5,14 @@ marginal vector per (state, eta) per round, and each lane answers "is the
 request in the Madow sample?" by the walk `madow_sample` makes.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicache import (DomainError, EtaConfig, LzSagePolicy, MarkovSagePolicy, RequestTrace,
-                      SagePolicy, SageState, generate_trace, lockstep_replay, madow_sample,
+                      SagePolicy, generate_trace, lockstep_replay, madow_sample,
                       random_fsm, replay)
 from unicache import sage as sage_mod
 
@@ -137,12 +139,13 @@ def test_lockstep_matches_replay(readme_trace, label, mode):
     records = lockstep_replay(together, readme_trace)
     assert [r.hits for r in records] == expect
     assert [r.policy_name for r in records] == [label] * 3
-    for a, b in zip(alone, together):
-        assert b.machine is together[0].machine
+    for i, (a, b) in enumerate(zip(alone, together)):
+        assert b.machine is together[0].machine and b.table is together[0].table
         assert b.contexts_visited == a.contexts_visited
         assert b.rng.next_u64() == a.rng.next_u64()  # one draw per round each
-        assert [(s.counts, s.eta, s.misses) for s in b.table.values()] == \
-            [(s.counts, s.eta, s.misses) for s in a.table.values()]
+        # per state: the shared counts and this seed's miss count
+        assert [(counts, misses[i]) for counts, misses in b.table.values()] == \
+            [(counts, m) for counts, (m,) in a.table.values()]
     if label == "lz":
         assert together[0].machine.node_count == alone[0].machine.node_count
 
@@ -186,18 +189,39 @@ def test_lanes_may_differ_in_eta_schedule(readme_trace):
 
 def test_lanes_share_one_vector_per_eta(readme_trace, monkeypatch):
     calls = []
-    marginals = SageState.marginals
+    marginals = sage_mod._marginals
 
-    def counting(state):
-        calls.append(state.eta)
-        return marginals(state)
+    def counting(counts, eta, cache_size):
+        calls.append(eta)
+        return marginals(counts, eta, cache_size)
 
-    monkeypatch.setattr(SageState, "marginals", counting)
+    monkeypatch.setattr(sage_mod, "_marginals", counting)
     lockstep_replay([_make("markov:4", _eta("fixed"), s) for s in range(5)], readme_trace)
     assert len(calls) == ROUNDS  # one eta: one vector per round for all five seeds
     calls.clear()
     lockstep_replay([_make("markov:4", _eta("doubling"), s) for s in range(5)], readme_trace)
     assert ROUNDS < len(calls) < 2 * ROUNDS
+
+
+def test_lanes_hold_one_count_vector_per_state(readme_trace):
+    # 20 lz seeds over a prefix: every policy ends on one shared table whose
+    # records hold one count list and 20 miss counts. The traced peak is
+    # ~0.4 MB; a count vector per seed and state made it ~2.6 MB.
+    seeds = 20
+    policies = [_make("lz", _eta("doubling"), s) for s in range(seeds)]
+    trace = RequestTrace(_FILES, readme_trace.requests[:4_000])
+    tracemalloc.start()
+    try:
+        lockstep_replay(policies, trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    table = policies[0].table
+    assert all(p.table is table for p in policies)
+    assert len(table) > 300
+    assert all(len(counts) == _FILES and len(misses) == seeds
+               for counts, misses in table.values())
 
 
 def test_lockstep_validates():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from unicache import (DomainError, LzSagePolicy, LzTree, RequestTrace,
                       depth_split_counts, dump_tree, offline_lz_oracle,
                       offline_markov_hit_rate, replay, SagePolicy)
+from unicache import sage as sage_mod
 from util import (NodeTree, advance_walk, mean, parsed_tree, random_trace, reference_parse,
                   tree_phrases)
 
@@ -146,9 +147,17 @@ def test_offline_oracle_near_perfect_on_regular_stream():
     assert misses / len(trace) < 0.05
 
 
-def test_lz_policy_first_round_is_uniform():
-    policy = LzSagePolicy(5, 2, seed=0)
-    assert policy.table[0].marginals() == pytest.approx([0.4] * 5, abs=1e-12)
+def test_lz_policy_first_round_is_uniform(monkeypatch):
+    played = []
+    marginals = sage_mod._marginals
+
+    def spy(*args):
+        played.append(marginals(*args))
+        return played[-1]
+
+    monkeypatch.setattr(sage_mod, "_marginals", spy)
+    LzSagePolicy(5, 2, seed=0).step(0)
+    assert played == [pytest.approx([0.4] * 5, abs=1e-12)]
 
 
 def test_lz_policy_reproducible():

@@ -1,13 +1,14 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unicache import (DomainError, EtaConfig, NumericError, RequestTrace, SagePolicy,
-                      SageState, SplitMix64, madow_sample)
+from unicache import (DomainError, EtaConfig, LzSagePolicy, MarkovSagePolicy, NumericError,
+                      RequestTrace, SagePolicy, SageState, SplitMix64, madow_sample)
 from unicache import sage as sage_mod
-from util import hedge_bruteforce_marginals, zipf_trace
+from util import eta_schedule_reference, hedge_bruteforce_marginals, zipf_trace
 
 # ---------------------------------------------------------------------------
 # elementary symmetric polynomials, in doubles and in `decimal`
@@ -574,26 +575,59 @@ def test_eta_config_validation():
         EtaConfig(horizon=0)
 
 
+def _lane_eta(policy, misses: int) -> float:
+    """The eta a policy plays at its current state after `misses` misses
+    there: the eta its round hands the marginal evaluator."""
+    played = []
+    marginals = sage_mod._marginals
+
+    def spy(counts, eta, cache_size):
+        played.append(eta)
+        return marginals(counts, eta, cache_size)
+
+    with mock.patch.object(sage_mod, "_marginals", spy):
+        policy.table[policy.machine.current] = ([0] * policy.n_files, [misses])
+        policy.step(0)
+    return played[0]
+
+
 def test_doubling_shrinks_eta_on_miss_doublings():
     # N=4, C=1: the free-miss budget is ceil(ln(4e)) = 3
-    st_ = SageState(4, 1, eta=1.0, eta_mode="doubling")
-    st_.note_miss()
-    st_.note_miss()
-    assert st_.eta == 1.0  # still inside the free budget
-    st_.note_miss()  # miss 3 crosses the first threshold
-    assert st_.eta == pytest.approx(2 ** -0.5)
-    for _ in range(2):
-        st_.note_miss()  # misses 4-5: next threshold is 6
-    assert st_.eta == pytest.approx(2 ** -0.5)
-    st_.note_miss()  # miss 6
-    assert st_.eta == pytest.approx(2 ** -1.0)
+    policy = SagePolicy(4, 1, EtaConfig(mode="doubling", eta=1.0))
+    assert [_lane_eta(policy, m) for m in (0, 1, 2)] == [1.0] * 3  # inside the free budget
+    assert _lane_eta(policy, 3) == pytest.approx(2 ** -0.5)  # miss 3 crosses the first threshold
+    for m in (4, 5):  # next threshold is 6
+        assert _lane_eta(policy, m) == pytest.approx(2 ** -0.5)
+    assert _lane_eta(policy, 6) == pytest.approx(2 ** -1.0)
 
 
 def test_fixed_mode_keeps_eta():
-    st_ = SageState(4, 1, eta=0.7, eta_mode="fixed")
-    for _ in range(10):
-        st_.note_miss()
-    assert st_.eta == 0.7
+    policy = SagePolicy(4, 1, EtaConfig(mode="fixed", eta=0.7))
+    assert [_lane_eta(policy, m) for m in range(11)] == [0.7] * 11
+
+
+@given(st.integers(min_value=1, max_value=40), st.data(),
+       st.floats(min_value=1e-6, max_value=1e3), st.sampled_from(("fixed", "doubling")),
+       st.integers(min_value=0, max_value=5_000))
+@settings(max_examples=60, deadline=None)
+def test_lane_eta_matches_the_miss_by_miss_schedule(n, data, eta, mode, misses):
+    # Bit for bit, at a drawn miss count and on both sides of every shrink.
+    c = data.draw(st.integers(min_value=1, max_value=n))
+    policy = SagePolicy(n, c, EtaConfig(mode=mode, eta=eta))
+    expect = eta_schedule_reference(n, c, eta, 5_000, mode)
+    shrinks = [m for m in range(1, len(expect)) if expect[m] != expect[m - 1]]
+    for m in [misses] + shrinks + [m - 1 for m in shrinks]:
+        assert _lane_eta(policy, m) == expect[m]
+
+
+@pytest.mark.parametrize("make", (SagePolicy, lambda n, c: MarkovSagePolicy(n, c, 2),
+                                  LzSagePolicy), ids=("sage", "markov", "lz"))
+@pytest.mark.parametrize("cache_size", (0, -1, 4))
+def test_policies_check_the_cache_size_when_built(make, cache_size):
+    # The check must come before the eta schedule, whose ln(N e / C) fails
+    # with another error at C <= 0.
+    with pytest.raises(DomainError, match="cache size"):
+        make(3, cache_size)
 
 
 def test_sage_predict_fresh_state_uniform_and_deterministic():

@@ -79,6 +79,22 @@ def hedge_bruteforce_marginals(counts, eta: float, n_files: int, cache_size: int
     return [a / total for a in acc]
 
 
+def eta_schedule_reference(n_files: int, cache_size: int, eta: float, misses: int,
+                           mode: str) -> list[float]:
+    """eta of one instance after 0, 1, .., `misses` misses, noted one at a
+    time: under doubling, a miss that brings the count to the threshold,
+    first max(1, ceil(C ln(N e / C))), multiplies eta by 1/sqrt(2) and
+    doubles the threshold; under fixed, eta stays."""
+    mark = max(1, math.ceil(cache_size * math.log(n_files * math.e / cache_size)))
+    etas = [eta]
+    for count in range(1, misses + 1):
+        if mode == "doubling" and count >= mark:
+            eta *= 0.7071067811865476
+            mark *= 2
+        etas.append(eta)
+    return etas
+
+
 def lru_rule(sigma: tuple, x: int) -> tuple:
     """LRU's next state: the cached files by last request, least recent first."""
     if x in sigma:
