@@ -9,9 +9,11 @@ Reproducibility contract
 Every randomized policy owns exactly one `SplitMix64` generator seeded at
 construction, and consumes draws in a fixed, documented order: one uniform
 per cache sample (see `sage.madow_sample`), nothing else. A seed draws
-exactly one `next_float` per round, in the same order, whether its policy
-runs alone under `replay` or beside other seeds under
-`sage.lockstep_replay`, so both give the same hits. The experiment harness
+exactly one `next_float` value per round, in the same order, whether its
+policy runs alone under `replay` or beside other seeds under
+`sage.lockstep_replay`, so both give the same hits. Lockstep lanes read
+those values from the generator's bulk `floats` stream, which yields the
+`next_float` sequence itself, block by block. The experiment harness
 may run different policies in different processes, and under fixed eta
 ranges of one policy's rounds, each range's seeds in lockstep from their
 generators' `skip` to its first round. No draw depends on the process,
@@ -22,6 +24,9 @@ implementations; the algorithm is restated in full in `SplitMix64`.
 """
 
 from __future__ import annotations
+
+import struct
+from itertools import chain
 
 
 class UniCacheError(Exception):
@@ -47,6 +52,33 @@ class ConfigError(UniCacheError):
 _MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state step, the state's only change per draw
 
+# The packed-block kernel: draw t of a block (t = 0, 1, ..) sits in bits
+# [128 t, 128 t + 64) of one int. The wide slots keep every state sum
+# (< 2**73) and every 64 x 64-bit product (< 2**128) out of the next slot.
+# Each open stream of draws holds one block, so a lockstep run holds one
+# per lane: 256 draws keep 20 lanes well inside the lane memory test, where
+# 1,024 do not.
+_BLOCK = 256
+_ONES = sum(1 << 128 * t for t in range(_BLOCK))
+_RAMP = sum((t + 1) * GAMMA << 128 * t for t in range(_BLOCK))  # slot t: (t + 1) * GAMMA
+_LOW = _ONES * _MASK64  # the low 64 bits of every slot
+_UNPACK = struct.Struct("<" + "Q8x" * _BLOCK)
+
+
+def _packed_outputs(state: int, count: int, shift: int):
+    """The `count` output words that follow `state`, each shifted right by
+    `shift` (< 33), as blocks of at most `_BLOCK` ints."""
+    for done in range(0, count, _BLOCK):
+        z = (_ONES * ((state + done * GAMMA) & _MASK64) + _RAMP) & _LOW
+        z = ((z ^ (z >> 30)) & _LOW) * 0xBF58476D1CE4E5B9 & _LOW
+        z = ((z ^ (z >> 27)) & _LOW) * 0x94D049BB133111EB & _LOW
+        # Bits 64..95 of each slot are clear here, so shifts below 33 keep
+        # the next slot's bits out of the low 64.
+        z = (z ^ (z >> 31)) >> shift
+        n = count - done
+        unpack = _UNPACK if n >= _BLOCK else struct.Struct("<" + "Q8x" * n)
+        yield unpack.unpack_from(z.to_bytes(16 * _BLOCK, "little"))
+
 
 class SplitMix64:
     """SplitMix64 pseudorandom generator (Steele, Lea & Flood's mixer).
@@ -63,6 +95,13 @@ class SplitMix64:
     draw in [0, 1). `next_below(n)` reduces an output word modulo n; the
     modulo bias is below n / 2**64 and is accepted for the sake of a
     one-line cross-language definition.
+
+    The state after t draws is seed + t * GAMMA, so `floats(count)` and
+    `below(n, count)` draw blocks of states at once: each packs a block of
+    consecutive states into one int and mixes them all with one run of the
+    steps above. They yield exactly what `count` calls of `next_float` or
+    `next_below(n)` would, in the same order, and move the generator past
+    all `count` draws when called, before the first value is read.
     """
 
     __slots__ = ("_state",)
@@ -93,6 +132,22 @@ class SplitMix64:
         if n <= 0:
             raise DomainError(f"next_below needs n >= 1, got {n}")
         return self.next_u64() % n
+
+    def floats(self, count: int):
+        """An iterator over the next `count` `next_float` values."""
+        return self._bulk(count, 11, (2.0**-53).__mul__)
+
+    def below(self, n: int, count: int):
+        """An iterator over the next `count` `next_below(n)` values."""
+        if n <= 0:
+            raise DomainError(f"next_below needs n >= 1, got {n}")
+        return self._bulk(count, 0, n.__rmod__)
+
+    def _bulk(self, count: int, shift: int, convert):
+        state = self._state
+        self.skip(count)
+        return chain.from_iterable(map(convert, block)
+                                   for block in _packed_outputs(state, count, shift))
 
 
 class RequestTrace:

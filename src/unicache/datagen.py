@@ -8,7 +8,9 @@ Draw schedule (one SplitMix64 stream per function, fully determined by the
 seed): `random_fsm` draws the Q x N transition table row by row (one
 `next_below(Q)` per entry), then for each state C partial Fisher-Yates
 draws to pick A_s, then one draw for the start state. `generate_trace`
-draws one `next_below(C)` per round to pick from A_s.
+draws one `next_below(C)` per round to pick from A_s; it reads them from
+the bulk `below(C, T)` stream, the same values in the same order, one
+block at a time.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ def generate_trace(spec: FsmSpec, arrays: list[tuple[int, ...]], initial_state: 
     machine = FsmRunner(spec)
     machine.current = initial_state
     requests = []
-    for _ in range(horizon):
-        x = arrays[machine.current][rng.next_below(size)]
+    for pick in rng.below(size, horizon):
+        x = arrays[machine.current][pick]
         requests.append(x)
         machine.advance(x)
     return RequestTrace(n_files=spec.n_files, requests=requests)

@@ -43,8 +43,9 @@ The seeds of one per-state policy visit the same states with the same
 counts, and a seed's eta is a function of its miss count there. So each
 visited state keeps one record, its counts and one miss count per seed.
 `lockstep_replay` runs the seeds on one machine walk, one marginal vector
-per distinct eta per round; each seed's lane draws one uniform and walks
-the shared Madow table. `MachineSagePolicy.step` is the one-lane case.
+per distinct eta per round; each seed's lane draws one uniform, from its
+generator's bulk `floats` stream, and walks the shared Madow table.
+`MachineSagePolicy.step` is the one-lane case.
 Under fixed eta no marginal depends on a draw, so a lockstep run may start
 at any round, from the counts and generator states of that round.
 """
@@ -75,24 +76,29 @@ _MARGINAL_SUM_TOL = 1e-9
 
 def _esp_loo(w: list, order: int, one=1.0, limit=_PLAIN_MAX):
     """e_order(w) and e_{order-1}(w without i) for each i, in the number type
-    of `one` (see the module docstring); None once some e_a(w) passes `limit`."""
+    of `one` (see the module docstring); None once some e_a(w) passes `limit`.
+    Column 0 of both tables is all ones, so it takes part in no product:
+    `x * 1` is `x` in `float` and `Decimal` alike."""
     zero = one - one
     col = [one] * len(w)
     prefix = [col]
-    for _ in range(order - 1):
-        col = list(accumulate(map(mul, w, col), initial=zero))
+    for a in range(1, order):
+        col = list(accumulate(map(mul, w, col) if a > 1 else w, initial=zero))
         if not col.pop() <= limit:  # the running sum ends at e_a(w)
             return None
         prefix.append(col)
-    top = reduce(add, map(mul, w, col))  # e_order(w)
+    top = reduce(add, map(mul, w, col) if order > 1 else w)  # e_order(w)
     if not top <= limit:
         return None
     loo = col
-    suffix = prefix[0]
     for b in range(1, order):
-        suffix = list(accumulate(map(mul, reversed(w), suffix), initial=zero))
+        suffix = list(accumulate(map(mul, reversed(w), suffix) if b > 1 else reversed(w),
+                                 initial=zero))
         suffix.pop()
-        loo = list(map(add, loo, map(mul, prefix[order - 1 - b], reversed(suffix))))
+        term = reversed(suffix)
+        if b < order - 1:
+            term = map(mul, prefix[order - 1 - b], term)
+        loo = list(map(add, loo, term))
     return top, loo
 
 
@@ -339,7 +345,7 @@ class MachineSagePolicy:
         if record is None:
             record = self.table[state] = ([0] * self.n_files, [0])
         hits = bytearray()
-        _play_round(self, ((self.rng, self.etas),), record, request, hits, None)
+        _play_round(self, ((self.rng.next_float, self.etas),), record, request, hits, None)
         self.machine.advance(request)
         return hits[0]
 
@@ -350,17 +356,18 @@ class MachineSagePolicy:
 
 def _play_round(policy, lanes, record, request: int, hits: bytearray,
                 shared: dict | None) -> None:
-    """One round of each lane, a generator and an eta table, at the state of
-    `record`: Madow-sample from one uniform, score, count a miss, append the
-    hit to `hits`; then count the request. Lane i's miss count has crossed
-    the thresholds mark0, 2 * mark0, .. `(misses[i] // mark0).bit_length()`
-    times, below 65 for any count under 2**64 * mark0. Lanes with equal eta
+    """One round of each lane, a draw (a callable returning the lane's next
+    uniform) and an eta table, at the state of `record`: Madow-sample from
+    one uniform, score, count a miss, append the hit to `hits`; then count
+    the request. Lane i's miss count has crossed the thresholds mark0,
+    2 * mark0, .. `(misses[i] // mark0).bit_length()` times, below 65 for
+    any count under 2**64 * mark0. Lanes with equal eta
     share one marginal vector and Madow table through `shared`, an empty
     dict each round; a single lane passes None.
     """
     counts, misses = record
     c, mark0 = policy.cache_size, policy.mark0
-    for i, (rng, etas) in enumerate(lanes):
+    for i, (draw, etas) in enumerate(lanes):
         eta = etas[(misses[i] // mark0).bit_length()]
         if shared is None:
             cum, size = _madow_table(_marginals(counts, eta, c))
@@ -369,7 +376,7 @@ def _play_round(policy, lanes, record, request: int, hits: bytearray,
             if table is None:
                 table = shared[eta] = _madow_table(_marginals(counts, eta, c))
             cum, size = table
-        hit = _madow_walk(cum, size, rng.next_float(), request)
+        hit = _madow_walk(cum, size, draw(), request)
         if not hit:
             misses[i] += 1
         hits.append(hit)
@@ -388,7 +395,10 @@ def lockstep_replay(policies, trace: RequestTrace, start: int = 0,
     `table`, one miss count per policy in each record; afterwards every
     policy shares that machine and table, and so is not fresh. Each round
     evaluates one marginal vector per distinct eta. Every policy draws one
-    uniform per round in the same order as under `replay`.
+    uniform per round in the same order as under `replay`: each lane reads
+    its uniforms from `rng.floats(rounds played)`, so every generator moves
+    past the played rounds before play begins, and a raise mid-play leaves
+    it there.
 
     Under fixed eta round t's marginals depend on the first t requests only,
     so play may start at t > 0: a `state_file_counts` pass over them moves the
@@ -408,11 +418,13 @@ def lockstep_replay(policies, trace: RequestTrace, start: int = 0,
     if start < 0 or start and any(p.eta_config.mode != "fixed" for p in policies):
         raise DomainError(f"a replay from round {start} needs start >= 0 and, above 0, fixed eta")
     machine, table, n, k = first.machine, first.table, first.n_files, len(policies)
+    played = len(range(len(trace))[start:stop])
+    lanes = []
     for policy in policies:
         policy.machine, policy.table = machine, table
         policy.rng.skip(start)
+        lanes.append((policy.rng.floats(played).__next__, policy.etas))
     before = state_file_counts(machine, trace.requests[:start], n) if start else None
-    lanes = [(p.rng, p.etas) for p in policies]
     hits = bytearray()  # round-major: the hits of round t are hits[t*k:(t+1)*k]
     for x in islice(trace.requests, start, stop):
         state = machine.current

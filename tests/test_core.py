@@ -114,6 +114,34 @@ def test_splitmix64_jumps_past_draws(seed, t, kinds):
         assert draws[0] == draws[1] == draws[2]
 
 
+_BLOCK = core._BLOCK
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(-2**70, 2**80), prior=st.integers(0, 300),
+       count=st.sampled_from((0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7,
+                              3 * _BLOCK)),
+       n=st.integers(1, 2**64), as_floats=st.booleans())
+def test_bulk_draws_are_the_scalar_draws(seed, prior, count, n, as_floats):
+    # The packed blocks yield the one-draw stream value for value, and the
+    # call itself moves the generator to where `count` scalar draws leave it.
+    bulk, scalar = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(prior):
+        bulk.next_u64(), scalar.next_u64()
+    drawn = bulk.floats(count) if as_floats else bulk.below(n, count)
+    after = bulk.next_u64()
+    draw = scalar.next_float if as_floats else (lambda: scalar.next_below(n))
+    assert list(drawn) == [draw() for _ in range(count)]
+    assert after == scalar.next_u64()
+
+
+def test_bulk_below_needs_a_positive_bound():
+    rng = SplitMix64(3)
+    with pytest.raises(DomainError):
+        rng.below(0, 5)
+    assert rng.next_u64() == SplitMix64(3).next_u64()
+
+
 def test_trace_validation():
     with pytest.raises(DomainError):
         RequestTrace(3, [0, 3])

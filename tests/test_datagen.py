@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import pytest
 
 from unicache import (CacheSet, DomainError, Prefetcher, generate_trace,
@@ -64,6 +67,19 @@ def test_generate_trace_validation():
         generate_trace(spec, arrays, 3, 10, seed=1)
     with pytest.raises(DomainError):
         generate_trace(spec, arrays, 0, -1, seed=1)
+
+
+def test_trace_picks_stream_one_block_at_a_time():
+    # Only the request list grows with T: a T-long list of picks would add
+    # another ~1.6 MB at T = 2e5; a block of picks is ~30 kB.
+    spec, arrays = random_fsm(50, 3, 2, seed=7)
+    tracemalloc.start()
+    try:
+        trace = generate_trace(spec, arrays, spec.initial_state, 200_000, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sys.getsizeof(trace.requests) + 100_000
 
 
 def test_per_state_choice_is_uniform():
