@@ -32,7 +32,8 @@ One evaluator computes the marginals, at order m = min(C, N - C):
   e_{m-1}(w without i) = sum_a P_{i-1}[a] * S_{i+1}[m-1-a] adds
   nonnegative terms only: exact to rounding in O(N*m). At m = 1 that is
   e_0 = 1 and there are no tables: at the README setting (N=3, C=2),
-  p(i) = 1 - v(i) / sum(v) with v = 1/w.
+  p(i) = 1 - v(i) / sum(v) with v = 1/w, which `_hedge_marginals`
+  computes directly, with the tables' float operations in their order.
 
 The tables run in plain doubles while every e_a(w), a <= m, stays at most
 2**900. A top group spread in two clusters can pass that bound (only at
@@ -44,7 +45,9 @@ counts, and a seed's eta is a function of its miss count there. So each
 visited state keeps one record, its counts and one miss count per seed.
 `lockstep_replay` runs the seeds on one machine walk, one marginal vector
 per distinct eta per round; each seed's lane draws one uniform, from its
-generator's bulk `floats` stream, and walks the shared Madow table.
+generator's bulk `floats` stream, and walks the running sums of that
+shared vector, built by `itertools.accumulate` with one check of their
+total (`_play_round`).
 `MachineSagePolicy.step` is the one-lane case.
 Under fixed eta no marginal depends on a draw, so a lockstep run may start
 at any round, from the counts and generator states of that round.
@@ -156,6 +159,9 @@ def _hedge_marginals(counts, eta: float, order: int) -> list[float]:
     ref = sum(ranked[:order]) / order
     exp = math.exp
     w = [exp(eta * (x - ref)) for x in counts]
+    if order == 1:  # `_esp_loo`'s e_0 = 1 factors are `x * 1.0 == x`
+        e = reduce(add, w)
+        return [v / e for v in w] if eta > 0 else [1.0 - v / e for v in w]
     esp = _esp_loo(w, order)
     if esp is None:
         q = _marginals_wide([eta * (x - ref) for x in counts], order)
@@ -208,10 +214,11 @@ def _madow_table(p) -> tuple[list[float], int]:
 
 def _madow_walk(cum: list[float], c: int, u: float, x: int,
                 selected: list[int] | None = None) -> int:
-    """Walk a `_madow_table` for the draw u: each offset u, u + 1, ..,
-    u + C - 1 selects one index. Returns 1 if index x is selected, else 0,
-    and appends every selected index to `selected` when one is given (a
-    lane, which needs only its request's answer, builds no list)."""
+    """Walk the running sums `cum` of p, total C, for the draw u: each
+    offset u, u + 1, .., u + C - 1 selects one index. Returns 1 if index x
+    is selected, else 0, and appends every selected index to `selected`
+    when one is given (a lane, which needs only its request's answer,
+    builds no list)."""
     if not 0.0 <= u < 1.0:
         raise DomainError(f"uniform draw {u} outside [0, 1)")
     hit = 0
@@ -362,21 +369,23 @@ def _play_round(policy, lanes, record, request: int, hits: bytearray,
     the request. Lane i's miss count has crossed the thresholds mark0,
     2 * mark0, .. `(misses[i] // mark0).bit_length()` times, below 65 for
     any count under 2**64 * mark0. Lanes with equal eta
-    share one marginal vector and Madow table through `shared`, an empty
-    dict each round; a single lane passes None.
+    share the running sums of one marginal vector through `shared`, an
+    empty dict each round; a single lane passes None.
     """
     counts, misses = record
     c, mark0 = policy.cache_size, policy.mark0
     for i, (draw, etas) in enumerate(lanes):
         eta = etas[(misses[i] // mark0).bit_length()]
-        if shared is None:
-            cum, size = _madow_table(_marginals(counts, eta, c))
-        else:
-            table = shared.get(eta)
-            if table is None:
-                table = shared[eta] = _madow_table(_marginals(counts, eta, c))
-            cum, size = table
-        hit = _madow_walk(cum, size, draw(), request)
+        cum = None if shared is None else shared.get(eta)
+        if cum is None:
+            # `_finish_marginals` leaves every p in [0, 1], so the running
+            # sum is `_madow_table`'s; only its total needs a check
+            cum = list(accumulate(_marginals(counts, eta, c), initial=0.0))
+            if not abs(cum[-1] - c) <= _MARGINAL_SUM_TOL:
+                raise DomainError(f"marginals sum to {cum[-1]}, not the cache size {c}")
+            if shared is not None:
+                shared[eta] = cum
+        hit = _madow_walk(cum, c, draw(), request)
         if not hit:
             misses[i] += 1
         hits.append(hit)

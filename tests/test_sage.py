@@ -405,6 +405,87 @@ def test_complement_duality(n, c, count_seed, eta):
     assert _max_error(got, [1.0 - q for q in dual]) <= 1e-10
 
 
+def _outcome(f, *args):
+    """f's result, or the type of what it raised."""
+    try:
+        return f(*args)
+    except (DomainError, NumericError) as exc:
+        return type(exc)
+
+
+def _hex(p):
+    return [v.hex() for v in p] if isinstance(p, list) else p
+
+
+def _lane_table(counts, eta, c, shared):
+    """The running sums a lane of `_play_round` walks, or the error type."""
+    seen = []
+
+    def walk(cum, size, u, x):
+        seen.append((cum, size))
+        return 1
+
+    lane = ((lambda: 0.5, [eta]),)  # no misses: the lane plays etas[0]
+    policy = mock.Mock(cache_size=c, mark0=1)
+    with mock.patch.object(sage_mod, "_madow_walk", walk):
+        raised = _outcome(sage_mod._play_round, policy, lane, (list(counts), [0]), 0,
+                          bytearray(), shared)
+    return (_hex(seen[0][0]), seen[0][1]) if seen else raised
+
+
+@st.composite
+def _order_one_cases(draw):
+    # N=2 is order 1 on both sides; C = 1 and C = N - 1 are order 1 at every
+    # N. Counts cluster below 1e6 or spread over it, with one file up to
+    # 5,000 ahead so that the peel fires.
+    n = draw(st.one_of(st.just(2), st.integers(min_value=2, max_value=64)))
+    c = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(min_value=1, max_value=n)))
+    base = draw(st.integers(min_value=0, max_value=10**6 - 5_050))
+    counts = draw(st.one_of(
+        st.lists(st.integers(min_value=0, max_value=50), min_size=n, max_size=n).map(
+            lambda spread: [base + d for d in spread]),
+        st.lists(st.integers(min_value=0, max_value=10**6), min_size=n, max_size=n)))
+    lead = draw(st.integers(min_value=0, max_value=5_000))
+    k = draw(st.integers(min_value=0, max_value=n - 1))
+    counts[k] = min(counts[k] + lead, 10**6)
+    eta = draw(st.floats(min_value=1e-6, max_value=5.0))
+    return counts, c, eta
+
+
+def _order_one_reference(counts, side):
+    """`_hedge_marginals` at order 1: the peel, else the general `_esp_loo`
+    tables."""
+    ranked = sorted(counts, reverse=side > 0)
+    cut = math.log(len(counts) - 1) + sage_mod._PEEL_NATS
+    if side * (ranked[0] - ranked[1]) > cut:  # the top file alone is peeled
+        q = [1.0 if side * (x - ranked[1]) > cut else 0.0 for x in counts]
+    else:
+        ref = sum(ranked[:1]) / 1
+        w = [math.exp(side * (x - ref)) for x in counts]
+        e, loo = sage_mod._esp_loo(w, 1)
+        q = [wi * f / e for wi, f in zip(w, loo)]
+    return q if side > 0 else [1.0 - v for v in q]
+
+
+@given(_order_one_cases())
+@settings(max_examples=300, deadline=None)
+def test_order_one_marginals_and_lane_tables_are_bit_identical(case):
+    # `_hedge_marginals` computes order 1 without the ESP tables and the
+    # lanes take a bare running sum; both must be the general path's floats
+    # to the bit.
+    counts, c, eta = case
+    n = len(counts)
+    side, order = (-eta, n - c) if 2 * c > n else (eta, c)
+    if order == 1:
+        got = _outcome(sage_mod._marginals, counts, eta, c)
+        expect = _outcome(sage_mod._finish_marginals, _order_one_reference(counts, side), c)
+        assert _hex(got) == _hex(expect)
+    table = _outcome(lambda: sage_mod._madow_table(sage_mod._marginals(counts, eta, c)))
+    reference = table if isinstance(table, type) else (_hex(table[0]), table[1])
+    assert _lane_table(counts, eta, c, None) == reference
+    assert _lane_table(counts, eta, c, {}) == reference
+
+
 def test_sage_update_validates():
     # requests reach SageState.update only from a RequestTrace, which
     # checks their range
