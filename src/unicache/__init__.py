@@ -12,19 +12,17 @@ over C-subsets) per state, in `MachineSagePolicy`; every offline oracle,
 pass (`state_file_counts`, `top_c_hits`) keyed by the int
 `state * n_files + file`: they score the total count less, in each state
 with more than C distinct files, the counts below its C-th.
-Around them: LRU and FIFO as direct simulators, `simulate_fsp` to replay
-a machine file's own prefetcher, closed-form bound evaluators, a
-synthetic trace generator with a zero-miss certificate, and a
-config-driven experiment harness.
+Around them: LRU and FIFO as direct simulators, closed-form bound
+evaluators, a synthetic trace generator with a zero-miss certificate, and
+a config-driven experiment harness.
 """
 
 from .core import (CacheSet, ConfigError, DataError, DomainError, NumericError,
                    RequestTrace, RunRecord, SplitMix64, UniCacheError, load_trace, replay,
                    save_trace)
 from .fsm import (FifoPolicy, FsmRunner, FsmSpec, LruPolicy, Prefetcher, Window, load_fsm,
-                  offline_fsp_hits, save_fsm, simulate_fsp, state_file_counts, top_c_hits)
-from .sage import (EtaConfig, MachineSagePolicy, SagePolicy, SageState, lockstep_replay,
-                   madow_sample)
+                  offline_fsp_hits, save_fsm, state_file_counts, top_c_hits)
+from .sage import EtaConfig, MachineSagePolicy, SagePolicy, SageState, lockstep_replay
 from .markov import MarkovSagePolicy, offline_markov_hit_rate
 from .lz import LzSagePolicy, LzTree, depth_split_counts, dump_tree, offline_lz_oracle
 from .bounds import (fsm_regret_bound, fsp_total_regret_bound, lz_regret_bound,

@@ -8,7 +8,7 @@ Reproducibility contract
 ------------------------
 Every randomized policy owns exactly one `SplitMix64` generator seeded at
 construction, and consumes draws in a fixed, documented order: one uniform
-per cache sample (see `sage.madow_sample`), nothing else. A seed draws
+per cache sample (see `sage._madow_walk`), nothing else. A seed draws
 exactly one `next_float` value per round, in the same order, whether its
 policy runs alone under `replay` or beside other seeds under
 `sage.lockstep_replay`, so both give the same hits. Lockstep lanes read

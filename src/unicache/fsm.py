@@ -1,12 +1,13 @@
 """Finite state machines and prefetchers.
 
 An FSM is a transition table over (state, requested file); attaching a
-per-state cache set turns it into a finite-state prefetcher (FSP). Given a
-trace, the best prefetcher for a fixed machine is computed exactly: count
-requests per (state, file), then cache the C most-requested files of each
-state. `simulate_fsp` replays a machine file's prefetcher. LRU and FIFO
-are direct simulators; as machines their states would be the ordered
-tuples of cached files, a form the tests build to check them.
+per-state cache set turns it into a finite-state prefetcher (FSP), which a
+machine file may carry (`save_fsm`, `load_fsm`). Given a trace, the hits
+of the best prefetcher for a fixed machine are computed exactly: count
+requests per (state, file), then score the C most-requested files of each
+state. LRU and FIFO are direct simulators; as machines their states would
+be the ordered tuples of cached files, a form the tests build to check
+them.
 
 A machine, in the sense every policy and oracle here uses, is any object
 with an int `current` state, an `advance(request)` method and a bulk
@@ -18,22 +19,20 @@ leave it. `Machine` gives the generator over `advance`, and `Window` runs
 its one arithmetic rule through `itertools.accumulate`; no T-long list of
 states is built. `state_file_counts` and `top_c_hits` are the one
 counting pass behind every per-state oracle, the fsp oracle
-(`offline_fsp_hits`) included, which also reads its per-state caches off
-the same counts. Each (state, file) pair is counted under the one int
-`state * n_files + file`. A state's top-C files score the state's total
-count less the counts of the files past its C-th, so only states with more
-than C distinct files are sorted. Machines take requests from a validated
-trace, so only the parse tree checks them again.
+(`offline_fsp_hits`) included. Each (state, file) pair is counted under
+the one int `state * n_files + file`. A state's top-C files score the
+state's total count less the counts of the files past its C-th, so only
+states with more than C distinct files are sorted. Machines take requests
+from a validated trace, so only the parse tree checks them again.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from heapq import nlargest
 from itertools import accumulate, compress, islice, repeat
-from operator import add, contains, floordiv, mul
+from operator import add, floordiv, mul
 
-from .core import CacheSet, DataError, DomainError, RequestTrace, RunRecord
+from .core import CacheSet, DataError, DomainError, RequestTrace
 
 
 class FsmSpec:
@@ -175,32 +174,15 @@ def top_c_hits(counts: Counter, cache_size: int, n_files: int) -> int:
     return hits
 
 
-def offline_fsp_hits(spec: FsmSpec, trace: RequestTrace, cache_size: int) -> tuple[int, Prefetcher]:
-    """Hit count of the best prefetcher for this FSM on this trace, plus that
-    prefetcher: per state, the C most-requested files, an unrequested file
-    counting 0 and ties broken toward smaller ids."""
+def offline_fsp_hits(spec: FsmSpec, trace: RequestTrace, cache_size: int) -> int:
+    """Hit count of the best prefetcher for this FSM on this trace: the one
+    that caches, per state, the C most-requested files."""
     n = spec.n_files
     if trace.n_files > n:
         raise DomainError(f"trace uses {trace.n_files} files but FSM only knows {n}")
     if not 1 <= cache_size <= n:
         raise DomainError(f"cache size {cache_size} outside [1, {n}]")
-    counts = state_file_counts(FsmRunner(spec), trace.requests, n)
-    caches = []
-    for s in range(spec.n_states):
-        top = nlargest(cache_size, range(n), key=lambda i: (counts[s * n + i], -i))
-        caches.append(CacheSet(frozenset(top), n))
-    return top_c_hits(counts, cache_size, n), Prefetcher(caches=caches)
-
-
-def simulate_fsp(spec: FsmSpec, prefetcher: Prefetcher, trace: RequestTrace) -> RunRecord:
-    """Replay: prefetch f(s_t), observe x_t, score, then transition."""
-    if len(prefetcher.caches) != spec.n_states:
-        raise DomainError(f"prefetcher covers {len(prefetcher.caches)} states, FSM has {spec.n_states}")
-    if trace.n_files > spec.n_files:
-        raise DomainError(f"trace uses {trace.n_files} files but FSM only knows {spec.n_files}")
-    sets = [c.files for c in prefetcher.caches]
-    cached = map(sets.__getitem__, FsmRunner(spec).states(trace.requests))
-    return RunRecord(policy_name="fsp", hits=bytes(map(contains, cached, trace.requests)))
+    return top_c_hits(state_file_counts(FsmRunner(spec), trace.requests, n), cache_size, n)
 
 
 # ---------------------------------------------------------------------------

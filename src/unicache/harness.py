@@ -46,7 +46,7 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from . import bounds
-from .core import ConfigError, DataError, RequestTrace, load_trace, replay
+from .core import ConfigError, DataError, DomainError, RequestTrace, load_trace, replay
 from .datagen import generate_trace, random_fsm
 from .fsm import FifoPolicy, LruPolicy, load_fsm, offline_fsp_hits
 from .lz import LzSagePolicy, offline_lz_oracle
@@ -267,8 +267,12 @@ def run_experiment(cfg: ExperimentConfig, trace: RequestTrace | None = None) -> 
         raise ConfigError(f"[run] cache_size {c} exceeds the library size {n}")
     eta_cfg, seeds, policies = cfg.eta_config(), cfg.seeds, cfg.policies
     kinds = {p.kind for p in policies}
-    # Loaded up front, so a missing or malformed machine file fails before any job runs.
+    # Loaded up front, so a missing, malformed or too narrow machine file
+    # fails before any job runs.
     machines = {p.path: load_fsm(p.path)[0] for p in policies if p.kind == "fsp-oracle"}
+    for machine in machines.values():
+        if machine.n_files < n:
+            raise DomainError(f"trace uses {n} files but FSM only knows {machine.n_files}")
 
     # Job key -> job, in the order a serial run computes them. The keys are
     # the specs whose rows the results fill, and (spec, i) for range i of a
@@ -293,7 +297,7 @@ def run_experiment(cfg: ExperimentConfig, trace: RequestTrace | None = None) -> 
     first = []  # the learning jobs, the long ones, which are claimed first
     for spec in rest:
         if spec.kind == "fsp-oracle":
-            jobs[spec] = lambda m=machines[spec.path]: offline_fsp_hits(m, trace, c)[0]
+            jobs[spec] = lambda m=machines[spec.path]: offline_fsp_hits(m, trace, c)
         elif spec.kind in ("lru", "fifo"):
             cls = LruPolicy if spec.kind == "lru" else FifoPolicy
             jobs[spec] = lambda cls=cls: replay(cls(n, c), trace).cumulative_hits

@@ -184,41 +184,12 @@ def _marginals(counts, eta: float, cache_size: int) -> list[float]:
 # Madow's systematic sampling
 
 
-def madow_sample(p, u: float) -> list[int]:
-    """Sample exactly C = sum(p) distinct indices with inclusion probabilities p.
-
-    With cumulative sums P_0 = 0, P_j = P_{j-1} + p_j, index j is selected
-    iff some offset i in {0..C-1} has P_{j-1} <= u + i < P_j. One uniform
-    u in [0, 1) drives the whole sample.
-    """
-    cum, c = _madow_table(p)
-    selected: list[int] = []
-    _madow_walk(cum, c, u, -1, selected)
-    return selected
-
-
-def _madow_table(p) -> tuple[list[float], int]:
-    """Checked cumulative sums of p, entries clamped at 1, and their total C."""
-    cum = [0.0]
-    acc = 0.0
-    for pj in p:
-        if not (pj >= -1e-12 and pj <= 1.0 + 1e-9):  # a NaN fails both
-            raise DomainError(f"inclusion probability p[{len(cum) - 1}]={pj} outside [0, 1]")
-        acc += pj if pj < 1.0 else 1.0
-        cum.append(acc)
-    c = round(acc)
-    if c < 1 or abs(acc - c) > _MARGINAL_SUM_TOL:
-        raise DomainError(f"inclusion probabilities sum to {acc}, not a positive integer")
-    return cum, c
-
-
-def _madow_walk(cum: list[float], c: int, u: float, x: int,
-                selected: list[int] | None = None) -> int:
-    """Walk the running sums `cum` of p, total C, for the draw u: each
-    offset u, u + 1, .., u + C - 1 selects one index. Returns 1 if index x
-    is selected, else 0, and appends every selected index to `selected`
-    when one is given (a lane, which needs only its request's answer,
-    builds no list)."""
+def _madow_walk(cum: list[float], c: int, u: float, x: int) -> int:
+    """Madow's systematic sample of C indices from one uniform u in [0, 1),
+    walked over the running sums `cum` of p, total C: index j is in the
+    sample iff some offset i in {0..C-1} has cum[j] <= u + i < cum[j + 1].
+    Returns 1 if index x is in it, else 0; a lane needs only its request's
+    answer."""
     if not 0.0 <= u < 1.0:
         raise DomainError(f"uniform draw {u} outside [0, 1)")
     hit = 0
@@ -232,8 +203,6 @@ def _madow_walk(cum: list[float], c: int, u: float, x: int,
             j += 1
         if j == x:
             hit = 1
-        if selected is not None:
-            selected.append(j)
         j += 1  # the next offset always lands strictly past this element
     return hit
 
@@ -281,7 +250,8 @@ class EtaConfig:
 
 class SageState:
     """One fixed-eta Hedge/SAGE instance: request counts, eta and misses. The
-    policies keep per-state records instead (see `MachineSagePolicy`)."""
+    policies keep per-state records instead (see `MachineSagePolicy`); this
+    class is kept because the benchmark's tracer wraps its methods."""
 
     __slots__ = ("n_files", "cache_size", "counts", "count_max", "eta", "misses")
 
@@ -356,10 +326,6 @@ class MachineSagePolicy:
         self.machine.advance(request)
         return hits[0]
 
-    @property
-    def contexts_visited(self) -> int:
-        return len(self.table)
-
 
 def _play_round(policy, lanes, record, request: int, hits: bytearray,
                 shared: dict | None) -> None:
@@ -378,8 +344,8 @@ def _play_round(policy, lanes, record, request: int, hits: bytearray,
         eta = etas[(misses[i] // mark0).bit_length()]
         cum = None if shared is None else shared.get(eta)
         if cum is None:
-            # `_finish_marginals` leaves every p in [0, 1], so the running
-            # sum is `_madow_table`'s; only its total needs a check
+            # `_finish_marginals` leaves every p in [0, 1], so only the
+            # running sum's total needs a check
             cum = list(accumulate(_marginals(counts, eta, c), initial=0.0))
             if not abs(cum[-1] - c) <= _MARGINAL_SUM_TOL:
                 raise DomainError(f"marginals sum to {cum[-1]}, not the cache size {c}")

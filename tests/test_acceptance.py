@@ -11,16 +11,16 @@ from statistics import mean, stdev
 
 import pytest
 
-from unicache import (ExperimentConfig, FifoPolicy, FsmRunner, LruPolicy, LzSagePolicy,
-                      MarkovSagePolicy, PolicySpec, RequestTrace, SagePolicy, SageState,
-                      SplitMix64, generate_trace, lockstep_replay, lz_regret_bound,
-                      madow_sample, markov_regret_bound, markov_vs_fsp_gap, miss_fraction_bound,
-                      offline_fsp_hits, offline_lz_oracle, offline_markov_hit_rate, random_fsm,
-                      replay, run_experiment, simulate_fsp, state_file_counts,
-                      static_regret_bound)
-from util import (fifo_rule, hedge_bruteforce_marginals, lru_rule, nonzero_counts,
-                  parsed_tree, reference_parse, tree_phrases, tuple_fsp_reference,
-                  worked_example)
+from unicache import (CacheSet, ExperimentConfig, FifoPolicy, FsmRunner, LruPolicy,
+                      LzSagePolicy, MarkovSagePolicy, PolicySpec, Prefetcher, RequestTrace,
+                      SagePolicy, SageState, SplitMix64, generate_trace, lockstep_replay,
+                      lz_regret_bound, markov_regret_bound, markov_vs_fsp_gap,
+                      miss_fraction_bound, offline_fsp_hits, offline_lz_oracle,
+                      offline_markov_hit_rate, random_fsm, replay, run_experiment,
+                      state_file_counts, static_regret_bound)
+from util import (fifo_rule, hedge_bruteforce_marginals, lru_rule, madow_members,
+                  nonzero_counts, optimal_prefetcher_reference, parsed_tree, reference_parse,
+                  simulate_fsp_reference, tree_phrases, tuple_fsp_reference, worked_example)
 
 
 def _announce(num, description):
@@ -34,11 +34,10 @@ def _se(values):
 def test_acceptance_01_worked_example_exact():
     spec, trace, counts, prefetch = worked_example()
     assert state_file_counts(FsmRunner(spec), trace.requests, 5) == nonzero_counts(counts)
-    best = offline_fsp_hits(spec, trace, 2)[1]
-    assert [set(c.files) for c in best.caches] == prefetch
-    hits, best2 = offline_fsp_hits(spec, trace, 2)
-    assert hits == 11
-    rec = simulate_fsp(spec, best2, trace)
+    best = optimal_prefetcher_reference(spec, trace, 2)
+    assert best == prefetch
+    assert offline_fsp_hits(spec, trace, 2) == 11
+    rec = simulate_fsp_reference(spec, Prefetcher([CacheSet(s, 5) for s in best]), trace)
     assert abs((1 - rec.cumulative_hits / rec.T) - 1 / 12) <= 1e-12
     _announce(1, "3-state worked example reproduced exactly (miss fraction 1/12)")
 
@@ -108,7 +107,7 @@ def test_acceptance_03_madow_exactness():
     for p, c in vectors[:10]:
         freq = [0] * len(p)
         for g in range(grid):
-            for j in madow_sample(p, g / grid):
+            for j in madow_members(p, g / grid):
                 freq[j] += 1
         worst_grid = max(worst_grid,
                          max(abs(f / grid - pj) for f, pj in zip(freq, p)))
@@ -129,7 +128,7 @@ def test_acceptance_04_offline_fsp_oracle_optimality():
                        rng.next_below(q))
         t = 20 + rng.next_below(41)
         trace = RequestTrace(n, [rng.next_below(n) for _ in range(t)])
-        got, _ = offline_fsp_hits(spec, trace, c)
+        got = offline_fsp_hits(spec, trace, c)
         # independent oracle: replay once, then exhaust every per-state subset
         pairs = []
         s = spec.initial_state
@@ -160,7 +159,7 @@ def test_acceptance_05_markov_vs_fsp_gap_inequality():
                                    seed=4000 + inst)
         else:
             trace = RequestTrace(n, [rng.next_below(n) for _ in range(horizon)])
-        pi_s = offline_fsp_hits(spec, trace, c)[0] / horizon
+        pi_s = offline_fsp_hits(spec, trace, c) / horizon
         for k in range(7):
             mu_k = offline_markov_hit_rate(trace, k, c)[0]
             slack = markov_vs_fsp_gap(q, k, n, c) + 1e-9 - (pi_s - mu_k)
@@ -334,10 +333,10 @@ def test_acceptance_10_lru_fifo_equivalence():
         length = 150 + rng.next_below(100)
         trace = RequestTrace(n, [rng.next_below(n) for _ in range(length)])
         spec_l, pf_l = tuple_fsp_reference(n, c, lru_rule)
-        assert simulate_fsp(spec_l, pf_l, trace).hits == \
+        assert simulate_fsp_reference(spec_l, pf_l, trace).hits == \
             replay(LruPolicy(n, c), trace).hits, f"lru trial {trial}"
         spec_f, pf_f = tuple_fsp_reference(n, c, fifo_rule)
-        assert simulate_fsp(spec_f, pf_f, trace).hits == \
+        assert simulate_fsp_reference(spec_f, pf_f, trace).hits == \
             replay(FifoPolicy(n, c), trace).hits, f"fifo trial {trial}"
     _announce(10, "LRU and FIFO machine forms bit-identical to direct simulators "
                   "on 100 traces")

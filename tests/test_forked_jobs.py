@@ -83,7 +83,7 @@ def test_forked_and_serial_runs_write_identical_csvs(tmp_path, monkeypatch, fork
     ("m.fsm", 2, "config error: trace uses 4 files but FSM only knows 3")])
 def test_errors_are_those_of_a_serial_run(tmp_path, monkeypatch, capsys, machine, code, message):
     # A missing machine file, a negative Q in the header, and a machine over
-    # fewer files than the trace (the fsp oracle job itself raises).
+    # fewer files than the trace.
     config = _experiment(tmp_path, f"sage, lz, fsp-oracle:{tmp_path / machine}, lru",
                          trace_files=4)
     (tmp_path / "malformed.fsm").write_text("-1 3 0\n0 0 0\n0\n")

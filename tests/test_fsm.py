@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from unicache import (DataError, DomainError, FifoPolicy, FsmRunner, FsmSpec, LruPolicy,
                       LzTree, Prefetcher, RequestTrace, SplitMix64, Window, load_fsm,
-                      offline_fsp_hits, random_fsm, replay, save_fsm, simulate_fsp,
-                      state_file_counts, top_c_hits)
+                      offline_fsp_hits, random_fsm, replay, save_fsm, state_file_counts,
+                      top_c_hits)
 from util import (advance_walk, fifo_rule, lru_rule, nonzero_counts,
-                  optimal_prefetcher_reference, random_trace, top_c_hits_reference,
-                  tuple_fsp_reference, worked_example)
+                  optimal_prefetcher_reference, random_trace, simulate_fsp_reference,
+                  top_c_hits_reference, tuple_fsp_reference, worked_example)
 
 
 def _after(spec, state, request):
@@ -99,11 +99,8 @@ def test_fsm_step_domain_errors():
     # The runner trusts its input; a walk over a trace is checked up front:
     # a trace over more files than the machine reads is rejected.
     spec = FsmSpec(2, 2, [[0, 1], [1, 0]], 0)
-    trace = RequestTrace(3, [0, 2])
     with pytest.raises(DomainError):
-        simulate_fsp(spec, Prefetcher([_cache((0,), 2)] * 2), trace)
-    with pytest.raises(DomainError):
-        offline_fsp_hits(spec, trace, 1)
+        offline_fsp_hits(spec, RequestTrace(3, [0, 2]), 1)
     # A cache holds from 1 to all of the machine's files.
     for cache_size in (0, 3):
         with pytest.raises(DomainError):
@@ -142,22 +139,24 @@ def test_visit_counts_empty_and_single_state():
     assert visits == nonzero_counts([[1, 1, 3]])
 
 
+def _best_prefetcher(spec, trace, cache_size):
+    return Prefetcher([_cache(files, spec.n_files)
+                       for files in optimal_prefetcher_reference(spec, trace, cache_size)])
+
+
 def test_optimal_prefetcher_worked_example():
     spec, trace, _, prefetch = worked_example()
-    _, best = offline_fsp_hits(spec, trace, 2)
-    assert [set(c.files) for c in best.caches] == prefetch
+    assert optimal_prefetcher_reference(spec, trace, 2) == prefetch
 
 
 def test_optimal_prefetcher_tie_break_smallest_id():
     spec = FsmSpec(1, 4, [[0] * 4], 0)
-    _, best = offline_fsp_hits(spec, RequestTrace(4, []), 2)
-    assert set(best.caches[0].files) == {0, 1}
+    assert optimal_prefetcher_reference(spec, RequestTrace(4, []), 2) == [{0, 1}]
 
 
 def test_optimal_prefetcher_full_library():
     spec, trace, _, _ = worked_example()
-    _, best = offline_fsp_hits(spec, trace, 5)
-    assert all(set(c.files) == set(range(5)) for c in best.caches)
+    assert optimal_prefetcher_reference(spec, trace, 5) == [set(range(5))] * 3
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5),
@@ -173,17 +172,17 @@ def test_offline_fsp_hits_match_the_dense_reference(q, n, data):
     trace = RequestTrace(n, data.draw(st.lists(st.integers(0, n - 1), max_size=30)))
     visits = Counter(zip(advance_walk(FsmRunner(spec), trace.requests), trace.requests))
     for c in range(1, n + 1):
-        hits, best = offline_fsp_hits(spec, trace, c)
-        assert [cache.files for cache in best.caches] == \
-            optimal_prefetcher_reference(spec, trace, c)
+        hits = offline_fsp_hits(spec, trace, c)
         assert hits == top_c_hits_reference(visits, c)
+        # the count is reached: the dense reference's cache sets score it
+        assert simulate_fsp_reference(spec, _best_prefetcher(spec, trace, c),
+                                      trace).cumulative_hits == hits
 
 
 def test_offline_hits_worked_example():
     spec, trace, _, _ = worked_example()
-    hits, best = offline_fsp_hits(spec, trace, 2)
-    assert hits == 11
-    rec = simulate_fsp(spec, best, trace)
+    assert offline_fsp_hits(spec, trace, 2) == 11
+    rec = simulate_fsp_reference(spec, _best_prefetcher(spec, trace, 2), trace)
     assert rec.cumulative_hits == 11
     assert 1 - rec.cumulative_hits / rec.T == pytest.approx(1 / 12, abs=1e-12)
 
@@ -191,8 +190,7 @@ def test_offline_hits_worked_example():
 def test_offline_hits_single_state_is_static_best():
     flat = FsmSpec(1, 4, [[0] * 4], 0)
     trace = RequestTrace(4, [1, 1, 2, 3, 1, 2])
-    hits, _ = offline_fsp_hits(flat, trace, 2)
-    assert hits == 5  # top-2 files are 1 (x3) and 2 (x2)
+    assert offline_fsp_hits(flat, trace, 2) == 5  # top-2 files are 1 (x3) and 2 (x2)
 
 
 def _exhaustive_best_hits(spec, trace, cache_size):
@@ -221,8 +219,7 @@ def test_offline_hits_matches_exhaustive_small():
         spec = FsmSpec(q, n, [[rng.next_below(q) for _ in range(n)] for _ in range(q)],
                        rng.next_below(q))
         trace = random_trace(n, 40, 1000 + trial)
-        hits, _ = offline_fsp_hits(spec, trace, c)
-        assert hits == _exhaustive_best_hits(spec, trace, c)
+        assert offline_fsp_hits(spec, trace, c) == _exhaustive_best_hits(spec, trace, c)
 
 
 def test_offline_hits_matches_joint_assignment_enumeration():
@@ -234,21 +231,14 @@ def test_offline_hits_matches_joint_assignment_enumeration():
     best = -1
     for assign in product(subsets, repeat=2):
         pf = Prefetcher([_cache(s, 4) for s in assign])
-        best = max(best, simulate_fsp(spec, pf, trace).cumulative_hits)
-    assert offline_fsp_hits(spec, trace, 2)[0] == best
+        best = max(best, simulate_fsp_reference(spec, pf, trace).cumulative_hits)
+    assert offline_fsp_hits(spec, trace, 2) == best
 
 
 def _cache(ids, n):
     from unicache import CacheSet
 
     return CacheSet(frozenset(ids), n)
-
-
-def test_simulate_fsp_checks_dimensions():
-    spec, trace, _, _ = worked_example()
-    pf = Prefetcher([_cache((0, 1), 5)])
-    with pytest.raises(DomainError):
-        simulate_fsp(spec, pf, trace)
 
 
 def test_refinement_never_loses_hits():
@@ -261,7 +251,7 @@ def test_refinement_never_loses_hits():
         spec = FsmSpec(q, n, [[rng.next_below(q) for _ in range(n)] for _ in range(q)],
                        rng.next_below(q))
         trace = random_trace(n, 200, 555 + trial)
-        base, _ = offline_fsp_hits(spec, trace, c)
+        base = offline_fsp_hits(spec, trace, c)
         for j in (1, 2):
             refined = _product_oracle_hits(spec, trace, c, j)
             assert refined >= base
@@ -297,7 +287,7 @@ def _product_oracle_hits(spec, trace, cache_size, j):
 def test_lru_hand_simulation():
     # start cache {0,1} with 0 least recent; trace 0,1,2,0
     spec, pf = tuple_fsp_reference(3, 2, lru_rule)
-    rec = simulate_fsp(spec, pf, RequestTrace(3, [0, 1, 2, 0]))
+    rec = simulate_fsp_reference(spec, pf, RequestTrace(3, [0, 1, 2, 0]))
     assert list(rec.hits) == [1, 1, 0, 0]
 
 
@@ -318,21 +308,11 @@ def test_lru_fifo_fsp_equal_direct_simulators():
         c = 1 + rng.next_below(min(3, n - 1))
         trace = random_trace(n, 120, 900 + trial)
         spec_l, pf_l = tuple_fsp_reference(n, c, lru_rule)
-        assert simulate_fsp(spec_l, pf_l, trace).hits == replay(LruPolicy(n, c), trace).hits
+        assert simulate_fsp_reference(spec_l, pf_l, trace).hits == \
+            replay(LruPolicy(n, c), trace).hits
         spec_f, pf_f = tuple_fsp_reference(n, c, fifo_rule)
-        assert simulate_fsp(spec_f, pf_f, trace).hits == replay(FifoPolicy(n, c), trace).hits
-
-
-def test_fsp_policy_matches_simulate():
-    # the prefetcher as a policy, walked by hand: cache of the current
-    # state, then the transition; simulate_fsp must give the same hit bits
-    spec, trace, _, _ = worked_example()
-    _, pf = offline_fsp_hits(spec, trace, 2)
-    s, bits = spec.initial_state, []
-    for x in trace.requests:
-        bits.append(1 if x in pf.caches[s].files else 0)
-        s = spec.transitions[s][x]
-    assert list(simulate_fsp(spec, pf, trace).hits) == bits
+        assert simulate_fsp_reference(spec_f, pf_f, trace).hits == \
+            replay(FifoPolicy(n, c), trace).hits
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +321,7 @@ def test_fsp_policy_matches_simulate():
 
 def test_fsm_roundtrip(tmp_path):
     spec, trace, _, _ = worked_example()
-    _, pf = offline_fsp_hits(spec, trace, 2)
+    pf = _best_prefetcher(spec, trace, 2)
     path = tmp_path / "m.fsm"
     save_fsm(spec, path, pf)
     spec2, pf2 = load_fsm(path)

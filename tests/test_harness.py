@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 import unicache
-from unicache import (ConfigError, RequestTrace, offline_fsp_hits, parse_config,
-                      run_experiment, save_fsm, save_trace, summarize, to_csv)
+from unicache import (ConfigError, DomainError, FsmSpec, RequestTrace, offline_fsp_hits,
+                      parse_config, run_experiment, save_fsm, save_trace, summarize, to_csv)
 from unicache.harness import CSV_HEADER, ExperimentConfig, PolicySpec, parse_policy_spec
 from unicache import bounds as bounds_mod
 from util import parse_csv, worked_example
@@ -133,6 +133,30 @@ seeds = 0
     assert len(rows) == 1
     assert rows[0].hits == 11
     assert rows[0].hit_rate == pytest.approx(11 / 12, abs=1e-12)
+
+
+def test_a_narrow_machine_fails_before_any_job_runs(tmp_path, monkeypatch):
+    # Machine files are loaded up front: one over fewer files than the trace
+    # fails there, not in its own job after the other jobs have run.
+    save_trace(RequestTrace(4, [0, 1, 2, 3] * 5), tmp_path / "t.trace")
+    save_fsm(FsmSpec(1, 3, [[0, 0, 0]], 0), tmp_path / "m.fsm")
+    cfg = _write_config(tmp_path / "exp.ini", f"""
+[trace]
+path = {tmp_path / "t.trace"}
+
+[run]
+cache_size = 2
+policies = sage, lz, fsp-oracle:{tmp_path / "m.fsm"}
+seeds = 0:2
+""")
+    ran = []
+    monkeypatch.setattr(unicache.harness, "_run_jobs", lambda jobs, first: ran.append(jobs))
+    with pytest.raises(DomainError, match="trace uses 4 files but FSM only knows 3"):
+        run_experiment(cfg)
+    assert ran == []
+    r = _cli("run", "--config", "exp.ini", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "trace uses 4 files but FSM only knows 3" in r.stderr, r.stderr
 
 
 def test_static_oracle_counts_best_single_file(tmp_path):

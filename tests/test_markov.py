@@ -198,7 +198,7 @@ def test_context_table_stays_bounded():
     trace = random_trace(n, 500, 23)
     policy = MarkovSagePolicy(n, 1, k=k, seed=0)
     replay(policy, trace)
-    assert policy.contexts_visited <= min(n**k + k, len(trace))
+    assert len(policy.table) <= min(n**k + k, len(trace))
 
 
 def test_online_learns_deterministic_cycle():
@@ -223,6 +223,6 @@ def test_per_context_regret_bound():
         policies = [MarkovSagePolicy(4, 2, k=k, seed=seed) for seed in range(20)]
         regrets = [oracle_hits - rec.cumulative_hits
                    for rec in lockstep_replay(policies, trace)]
-        contexts = policies[-1].contexts_visited
+        contexts = len(policies[-1].table)
         bound = fsm_regret_bound(contexts, horizon - oracle_hits, 4, 2)
         assert mean(regrets) <= bound, (k, mean(regrets), bound)

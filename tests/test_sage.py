@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicache import (DomainError, EtaConfig, LzSagePolicy, MarkovSagePolicy, NumericError,
-                      RequestTrace, SagePolicy, SageState, SplitMix64, madow_sample)
+                      RequestTrace, SagePolicy, SageState, SplitMix64)
 from unicache import sage as sage_mod
-from util import eta_schedule_reference, hedge_bruteforce_marginals, zipf_trace
+from util import (eta_schedule_reference, hedge_bruteforce_marginals, madow_members,
+                  madow_table, zipf_trace)
 
 # ---------------------------------------------------------------------------
 # elementary symmetric polynomials, in doubles and in `decimal`
@@ -480,7 +481,7 @@ def test_order_one_marginals_and_lane_tables_are_bit_identical(case):
         got = _outcome(sage_mod._marginals, counts, eta, c)
         expect = _outcome(sage_mod._finish_marginals, _order_one_reference(counts, side), c)
         assert _hex(got) == _hex(expect)
-    table = _outcome(lambda: sage_mod._madow_table(sage_mod._marginals(counts, eta, c)))
+    table = _outcome(lambda: madow_table(sage_mod._marginals(counts, eta, c)))
     reference = table if isinstance(table, type) else (_hex(table[0]), table[1])
     assert _lane_table(counts, eta, c, None) == reference
     assert _lane_table(counts, eta, c, {}) == reference
@@ -504,18 +505,18 @@ def test_sage_update_validates():
 
 
 def test_madow_certain_inclusion():
-    assert madow_sample([1.0, 1.0], 0.37) == [0, 1]
+    assert madow_members([1.0, 1.0], 0.37) == [0, 1]
 
 
 def test_madow_cumulative_walk_example():
-    assert madow_sample([0.5, 0.5, 0.5, 0.5], 0.25) == [0, 2]
+    assert madow_members([0.5, 0.5, 0.5, 0.5], 0.25) == [0, 2]
 
 
 def test_madow_always_c_distinct():
     rng = SplitMix64(5)
     p = [0.9, 0.6, 0.5, 0.7, 0.3]  # sums to 3
     for _ in range(300):
-        s = madow_sample(p, rng.next_float())
+        s = madow_members(p, rng.next_float())
         assert len(s) == 3 and len(set(s)) == 3
 
 
@@ -523,7 +524,7 @@ def test_madow_zero_probability_never_selected():
     rng = SplitMix64(9)
     p = [0.5, 0.0, 0.5, 0.0, 1.0]
     for _ in range(200):
-        assert not {1, 3} & set(madow_sample(p, rng.next_float()))
+        assert not {1, 3} & set(madow_members(p, rng.next_float()))
 
 
 def _interval_measure(p):
@@ -587,7 +588,7 @@ def test_madow_property_exactly_c_distinct(raw, c, u):
             p[i] += gap / len(spread)
     if abs(math.fsum(p) - c) > 1e-9:
         return
-    sample = madow_sample(p, u)
+    sample = madow_members(p, u)
     assert len(sample) == c
     assert len(set(sample)) == c
     assert all(p[j] > 0 for j in sample)
@@ -596,23 +597,28 @@ def test_madow_property_exactly_c_distinct(raw, c, u):
 def test_single_file_library():
     st_ = SageState(1, 1, eta=1.0)
     assert st_.marginals() == [1.0]
-    assert madow_sample([1.0], 0.5) == [0]
+    assert madow_members([1.0], 0.5) == [0]
 
 
 def test_madow_walk_compares_offsets_exactly():
     # u + 1 rounds to 2.0 at u = 1 - 2**-53; cum[j + 1] - 1 does not
     u = 1.0 - 2.0 ** -53
-    assert madow_sample([1.0, 1.0, 1.0], u) == [0, 1, 2]
-    assert madow_sample([1.0, 1.0, 0.0], u) == [0, 1]
+    assert madow_members([1.0, 1.0, 1.0], u) == [0, 1, 2]
+    assert madow_members([1.0, 1.0, 0.0], u) == [0, 1]
+    # cum[2] - 1 rounds above cum[1] = u: offset u + 1 would stop on index 1
+    # again but for the walk's move past each index it selects
+    cum, _ = madow_table([0.1, 1.0, 0.9])
+    assert cum[2] - 1 > cum[1] == 0.1
+    assert madow_members([0.1, 1.0, 0.9], 0.1) == [1, 2]
 
 
 def test_madow_validates_inputs():
     with pytest.raises(DomainError):
-        madow_sample([0.5, 0.6], 0.1)  # sums to 1.1
+        madow_members([0.5, 0.6], 0.1)  # sums to 1.1
     with pytest.raises(DomainError):
-        madow_sample([0.5, 0.5], 1.0)
+        madow_members([0.5, 0.5], 1.0)
     with pytest.raises(DomainError):
-        madow_sample([1.4, 0.6], 0.1)
+        madow_members([1.4, 0.6], 0.1)
 
 
 @pytest.mark.parametrize("p,index", [
@@ -624,7 +630,7 @@ def test_madow_rejects_a_nan_probability(p, index):
     # A NaN fails every comparison, so a range check written as two
     # rejections let it through, and the clamp then counted it as 1.
     with pytest.raises(DomainError, match=rf"p\[{index}\]=nan outside \[0, 1\]"):
-        madow_sample(p, 0.3)
+        madow_members(p, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -714,8 +720,8 @@ def test_policies_check_the_cache_size_when_built(make, cache_size):
 def test_sage_predict_fresh_state_uniform_and_deterministic():
     st_ = SageState(6, 2, eta=0.5)
     assert st_.marginals() == pytest.approx([2 / 6] * 6, abs=1e-12)
-    a = madow_sample(st_.marginals(), SplitMix64(123).next_float())
-    b = madow_sample(st_.marginals(), SplitMix64(123).next_float())
+    a = madow_members(st_.marginals(), SplitMix64(123).next_float())
+    b = madow_members(st_.marginals(), SplitMix64(123).next_float())
     assert a == b and len(set(a)) == 2
 
 

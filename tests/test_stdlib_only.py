@@ -1,4 +1,5 @@
-"""The runtime imports only the standard library (Python >= 3.10)."""
+"""The runtime imports only the standard library (Python >= 3.10), and
+exports only what the library or its benchmark uses."""
 
 import ast
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import unicache
 
 PACKAGE = Path(unicache.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _absolute_imports(tree):
@@ -29,6 +31,26 @@ def test_runtime_imports_only_the_standard_library():
                for module in _absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
                if module not in sys.stdlib_module_names}
     assert not outside, sorted(outside)
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # An export that only tests call is API nothing uses: each name
+    # `unicache` imports must be loaded, as a name or an attribute, by
+    # another library module or by the benchmark.
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exports = {alias.asname or alias.name for node in init.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += PERFBENCH.glob("*.py")
+    loaded = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    assert exports and (PERFBENCH / "tracer.py").is_file()
+    assert sorted(exports - loaded) == []
 
 
 def test_cli_import_loads_no_process_pool_machinery():

@@ -7,7 +7,8 @@ from heapq import nlargest
 from itertools import accumulate, combinations
 
 from unicache import (CacheSet, ConfigError, DataError, DomainError, FsmSpec, LzTree,
-                      Prefetcher, RequestTrace, ResultRow, SplitMix64)
+                      Prefetcher, RequestTrace, ResultRow, RunRecord, SplitMix64)
+from unicache import sage
 from unicache.core import _parse_trace_header
 from unicache.harness import CSV_HEADER
 
@@ -77,6 +78,30 @@ def hedge_bruteforce_marginals(counts, eta: float, n_files: int, cache_size: int
         for i in subset:
             acc[i] += mass
     return [a / total for a in acc]
+
+
+def madow_table(p) -> tuple[list[float], int]:
+    """Checked cumulative sums of p, entries clamped at 1, and their total C:
+    the table `sage._madow_walk` walks, from any inclusion probabilities."""
+    cum = [0.0]
+    acc = 0.0
+    for pj in p:
+        if not (pj >= -1e-12 and pj <= 1.0 + 1e-9):  # a NaN fails both
+            raise DomainError(f"inclusion probability p[{len(cum) - 1}]={pj} outside [0, 1]")
+        acc += pj if pj < 1.0 else 1.0
+        cum.append(acc)
+    c = round(acc)
+    if c < 1 or abs(acc - c) > sage._MARGINAL_SUM_TOL:
+        raise DomainError(f"inclusion probabilities sum to {acc}, not a positive integer")
+    return cum, c
+
+
+def madow_members(p, u: float) -> list[int]:
+    """The Madow sample of p for the draw u, in rising order: every index
+    that `sage._madow_walk` over p's table puts in the sample. The walk
+    raises the same error whatever index it is asked about."""
+    cum, c = madow_table(p)
+    return [x for x in range(len(p)) if sage._madow_walk(cum, c, u, x)]
 
 
 def eta_schedule_reference(n_files: int, cache_size: int, eta: float, misses: int,
@@ -288,6 +313,19 @@ def optimal_prefetcher_reference(spec: FsmSpec, trace: RequestTrace,
         state = spec.transitions[state][x]
     return [frozenset(nlargest(cache_size, range(spec.n_files), key=lambda i: (row[i], -i)))
             for row in counts]
+
+
+def simulate_fsp_reference(spec: FsmSpec, prefetcher: Prefetcher,
+                           trace: RequestTrace) -> RunRecord:
+    """A machine's own prefetcher replayed the dense way: each round, score
+    the request against the current state's cache set, then take the
+    transition."""
+    hits = bytearray()
+    state = spec.initial_state
+    for x in trace.requests:
+        hits.append(x in prefetcher.caches[state].files)
+        state = spec.transitions[state][x]
+    return RunRecord(policy_name="fsp", hits=bytes(hits))
 
 
 def nonzero_counts(rows) -> Counter:
