@@ -9,13 +9,13 @@ Reproducibility contract
 Every randomized policy owns exactly one `SplitMix64` generator seeded at
 construction, and consumes draws in a fixed, documented order: one uniform
 per cache sample (see `sage._madow_walk`), nothing else. A seed draws
-exactly one `next_float` value per round, in the same order, whether its
-policy runs alone under `replay` or beside other seeds under
-`sage.lockstep_replay`, so both give the same hits. Lockstep lanes read
-those values from the generator's bulk `floats` stream, which yields the
-`next_float` sequence itself, block by block. The experiment harness
-may run different policies in different processes, and under fixed eta
-ranges of one policy's rounds, each range's seeds in lockstep from their
+exactly one `next_float` value per round, in the same order, whether a
+policy built with it runs under `replay` or the seed is one lane of
+`sage.lockstep_replay`, so both give the same hits. A lane reads those
+values from the bulk `floats` stream of its own `SplitMix64(seed)`, which
+yields the `next_float` sequence itself, block by block. The experiment
+harness may run different policies in different processes, and under
+fixed eta ranges of one policy's rounds, each range's lanes from their
 generators' `skip` to its first round. No draw depends on the process,
 so a run's results do not depend on how many CPUs it uses. The trace
 generator's draw schedule is documented in `datagen`. SplitMix64 is a
@@ -117,12 +117,7 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def next_float(self) -> float:
-        # `next_u64` inlined: the call is a measurable share of a lockstep lane.
-        s = (self._state + GAMMA) & _MASK64
-        self._state = s
-        z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+        return (self.next_u64() >> 11) * 2.0**-53
 
     def skip(self, draws: int) -> None:
         """Jump to where `draws` more draws would leave the generator."""
@@ -225,15 +220,15 @@ def replay(policy, trace: RequestTrace) -> RunRecord:
     return RunRecord(policy_name=policy.name, hits=bytes(hits))
 
 
-def load_trace(path, n_files: int | None = None) -> RequestTrace:
+def load_trace(path) -> RequestTrace:
     """Read a trace file: one integer file id per line.
 
     An optional first line ``# N=<int> BASE=<0|1>`` declares the library
     size and whether ids are 1-based (they are shifted down on load), each
     field at most once; a ``#`` line anywhere else is malformed. Without a
-    header, ids are taken as 0-based and the library size is `n_files` if
-    given, else ``max(id) + 1``. A line holds one integer as `int` reads it
-    once surrounding whitespace is stripped (signs and ``_`` separators
+    header, ids are taken as 0-based and the library size is
+    ``max(id) + 1``. A line holds one integer as `int` reads it once
+    surrounding whitespace is stripped (signs and ``_`` separators
     included); blank lines are skipped. A malformed line or an id outside
     the library is a hard error naming the line number.
 
@@ -264,17 +259,15 @@ def load_trace(path, n_files: int | None = None) -> RequestTrace:
             raise DataError(f"{path}: not an ASCII text file") from None
     if base == 1:
         requests = [x - 1 for x in requests]
-    n = declared_n if declared_n is not None else n_files
+    n = declared_n
     if n is None:
         if not requests:
             raise DataError(f"{path}: empty trace with no library size declared")
         n = max(max(requests) + 1, 1)
     try:
         return RequestTrace(n_files=n, requests=requests)
-    except DomainError as exc:
-        if n >= 1:
-            raise _out_of_range(path, base, n - 1 + base) from None
-        raise DataError(f"{path}: {exc}") from None
+    except DomainError:
+        raise _out_of_range(path, base, n - 1 + base) from None
 
 
 # Characters per block of trace lines: a few thousand short lines.
@@ -334,11 +327,9 @@ def _parse_trace_header(line: str, path) -> tuple[int, int]:
     return n, base
 
 
-def save_trace(trace: RequestTrace, path, base: int = 0) -> None:
-    """Write a trace file with an explicit ``# N=... BASE=...`` header."""
-    if base not in (0, 1):
-        raise DomainError(f"base must be 0 or 1, got {base}")
+def save_trace(trace: RequestTrace, path) -> None:
+    """Write a trace file with an explicit ``# N=... BASE=0`` header."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# N={trace.n_files} BASE={base}\n")
+        fh.write(f"# N={trace.n_files} BASE=0\n")
         for x in trace.requests:
-            fh.write(f"{x + base}\n")
+            fh.write(f"{x}\n")

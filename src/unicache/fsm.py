@@ -191,10 +191,10 @@ def offline_fsp_hits(spec: FsmSpec, trace: RequestTrace, cache_size: int) -> int
 class LruPolicy:
     """Direct LRU simulator, seeded with cache (0 .. C-1), 0 least recent."""
 
-    def __init__(self, n_files: int, cache_size: int, name: str = "lru"):
+    def __init__(self, n_files: int, cache_size: int):
         if not 1 <= cache_size <= n_files:
             raise DomainError(f"cache size {cache_size} outside [1, {n_files}]")
-        self.name = name
+        self.name = "lru"
         self.order = list(range(cache_size))
         self.cached = set(self.order)
 
@@ -213,10 +213,10 @@ class LruPolicy:
 class FifoPolicy:
     """Direct FIFO simulator, seeded with queue (0 .. C-1), 0 oldest."""
 
-    def __init__(self, n_files: int, cache_size: int, name: str = "fifo"):
+    def __init__(self, n_files: int, cache_size: int):
         if not 1 <= cache_size <= n_files:
             raise DomainError(f"cache size {cache_size} outside [1, {n_files}]")
-        self.name = name
+        self.name = "fifo"
         self.queue = list(range(cache_size))
         self.cached = set(self.queue)
 

@@ -242,12 +242,13 @@ def materialize_trace(cfg: ExperimentConfig) -> RequestTrace:
 _MAX_QUEUED = 2048
 
 
-def _learners(spec: PolicySpec, n: int, c: int, eta_cfg: EtaConfig, seeds: list[int]) -> list:
+def _learner(spec: PolicySpec, n: int, c: int, eta_cfg: EtaConfig):
+    """A fresh policy of a learning spec, whose seeds `lockstep_replay` plays."""
     if spec.kind == "sage":
-        return [SagePolicy(n, c, eta_cfg, seed) for seed in seeds]
+        return SagePolicy(n, c, eta_cfg)
     if spec.kind == "markov":
-        return [MarkovSagePolicy(n, c, spec.order, eta_cfg, seed) for seed in seeds]
-    return [LzSagePolicy(n, c, eta_cfg, seed) for seed in seeds]
+        return MarkovSagePolicy(n, c, spec.order, eta_cfg)
+    return LzSagePolicy(n, c, eta_cfg)
 
 
 def run_experiment(cfg: ExperimentConfig, trace: RequestTrace | None = None) -> list[ResultRow]:
@@ -256,9 +257,10 @@ def run_experiment(cfg: ExperimentConfig, trace: RequestTrace | None = None) -> 
     Each distinct result is one job: the oracle pass of each markov order
     (order 0 is the static oracle), the lz oracle, the fsp oracle of each
     machine file, the LRU and FIFO replays, and one `lockstep_replay` of all
-    seeds per learning spec (under fixed eta, one per CPU over a range of the
-    rounds, summed per seed). `_run_jobs` spreads the jobs over the CPUs,
-    learning jobs first; the rows are assembled afterwards in config order.
+    seeds on one policy per learning spec (under fixed eta, one per CPU over
+    a range of the rounds, summed per seed). `_run_jobs` spreads the jobs
+    over the CPUs, learning jobs first; the rows are assembled afterwards in
+    config order.
     """
     if trace is None:
         trace = materialize_trace(cfg)
@@ -301,12 +303,12 @@ def run_experiment(cfg: ExperimentConfig, trace: RequestTrace | None = None) -> 
         elif spec.kind in ("lru", "fifo"):
             cls = LruPolicy if spec.kind == "lru" else FifoPolicy
             jobs[spec] = lambda cls=cls: replay(cls(n, c), trace).cumulative_hits
-        else:  # all seeds in lockstep, so that they share the machine walk
+        else:  # all seeds as lanes of one policy, so that they share the machine walk
             for i in range(parts):
                 first.append(len(jobs))
                 jobs[spec, i] = lambda spec=spec, i=i: [
                     record.cumulative_hits for record in lockstep_replay(
-                        _learners(spec, n, c, eta_cfg, seeds), trace,
+                        _learner(spec, n, c, eta_cfg), seeds, trace,
                         horizon * i // parts, horizon * (i + 1) // parts)]
     results = dict(zip(jobs, _run_jobs(list(jobs.values()), first)))
 

@@ -84,8 +84,8 @@ class LzSagePolicy(MachineSagePolicy):
     """SAGE at every parse-tree node; the node consuming a request predicts it."""
 
     def __init__(self, n_files: int, cache_size: int,
-                 eta_config: EtaConfig | None = None, seed: int = 0, name: str = "lz"):
-        super().__init__(name, LzTree(n_files), n_files, cache_size, eta_config, seed)
+                 eta_config: EtaConfig | None = None, seed: int = 0):
+        super().__init__("lz", LzTree(n_files), n_files, cache_size, eta_config, seed)
 
 
 def offline_lz_oracle(trace: RequestTrace, cache_size: int) -> tuple[int, int, int]:

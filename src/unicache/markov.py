@@ -36,7 +36,7 @@ class MarkovSagePolicy(MachineSagePolicy):
     """One SAGE instance per visited order-k context."""
 
     def __init__(self, n_files: int, cache_size: int, k: int,
-                 eta_config: EtaConfig | None = None, seed: int = 0, name: str | None = None):
-        super().__init__(name if name is not None else f"markov:{k}", Window(k, n_files),
-                         n_files, cache_size, eta_config, seed)
+                 eta_config: EtaConfig | None = None, seed: int = 0):
+        super().__init__(f"markov:{k}", Window(k, n_files), n_files, cache_size, eta_config,
+                         seed)
 

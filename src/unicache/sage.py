@@ -43,12 +43,14 @@ from the log weights.
 The seeds of one per-state policy visit the same states with the same
 counts, and a seed's eta is a function of its miss count there. So each
 visited state keeps one record, its counts and one miss count per seed.
-`lockstep_replay` runs the seeds on one machine walk, one marginal vector
-per distinct eta per round; each seed's lane draws one uniform, from its
-generator's bulk `floats` stream, and walks the running sums of that
-shared vector, built by `itertools.accumulate` with one check of their
-total (`_play_round`).
-`MachineSagePolicy.step` is the one-lane case.
+`lockstep_replay(policy, seeds, trace)` runs the seeds as lanes of one
+policy: its machine walks once and its table holds one miss count per
+seed. Each round evaluates one marginal vector per distinct eta; each
+lane draws one uniform, from the bulk `floats` stream of its seed's
+generator, and walks the running sums of that shared vector, built by
+`itertools.accumulate` with one check of their total (`_play_round`).
+`MachineSagePolicy.step` is the one-lane case, drawing from the policy's
+own generator.
 Under fixed eta no marginal depends on a draw, so a lockstep run may start
 at any round, from the counts and generator states of that round.
 """
@@ -291,13 +293,15 @@ class MachineSagePolicy:
     """One SAGE instance per state of a machine (see `fsm`).
 
     Each round the instance of the machine's current state Madow-samples a
-    cache from one uniform draw of the policy's single generator, scores the
-    request, records it, and the machine advances. `table` maps each visited
-    state to its record, made on the first visit with no draw: the state's
-    counts and, in a one-item list, the policy's miss count there. `etas[j]`
-    is eta after j threshold crossings (see `EtaConfig`): under doubling,
-    the initial eta times 1/sqrt(2) j times over, rounding each product in
-    turn. `mark0` is the first threshold.
+    cache from one uniform draw, scores the request, records it, and the
+    machine advances. `step` draws from the policy's single generator;
+    `lockstep_replay` plays many seeds on one fresh policy, each lane from a
+    generator of its own. `table` maps each visited state to its record,
+    made on the first visit with no draw: the state's counts and a list of
+    miss counts there, one per lane. `etas[j]` is eta after j threshold
+    crossings (see `EtaConfig`): under doubling, the initial eta times
+    1/sqrt(2) j times over, rounding each product in turn. `mark0` is the
+    first threshold.
     """
 
     def __init__(self, name: str, machine, n_files: int, cache_size: int,
@@ -322,25 +326,25 @@ class MachineSagePolicy:
         if record is None:
             record = self.table[state] = ([0] * self.n_files, [0])
         hits = bytearray()
-        _play_round(self, ((self.rng.next_float, self.etas),), record, request, hits, None)
+        _play_round(self, (self.rng.next_float,), record, request, hits, None)
         self.machine.advance(request)
         return hits[0]
 
 
-def _play_round(policy, lanes, record, request: int, hits: bytearray,
+def _play_round(policy, draws, record, request: int, hits: bytearray,
                 shared: dict | None) -> None:
-    """One round of each lane, a draw (a callable returning the lane's next
-    uniform) and an eta table, at the state of `record`: Madow-sample from
-    one uniform, score, count a miss, append the hit to `hits`; then count
-    the request. Lane i's miss count has crossed the thresholds mark0,
-    2 * mark0, .. `(misses[i] // mark0).bit_length()` times, below 65 for
-    any count under 2**64 * mark0. Lanes with equal eta
-    share the running sums of one marginal vector through `shared`, an
-    empty dict each round; a single lane passes None.
+    """One round of each lane at the state of `record`: Madow-sample from
+    one uniform of the lane's draw (a callable), score, count a miss, append
+    the hit to `hits`; then count the request. Lane i plays
+    `policy.etas[(misses[i] // mark0).bit_length()]`, the table entry after
+    its miss count crossed the thresholds mark0, 2 * mark0, .., below 65
+    for any count under 2**64 * mark0. Lanes with equal eta share the
+    running sums of one marginal vector through `shared`, an empty dict
+    each round; a single lane passes None.
     """
     counts, misses = record
-    c, mark0 = policy.cache_size, policy.mark0
-    for i, (draw, etas) in enumerate(lanes):
+    c, mark0, etas = policy.cache_size, policy.mark0, policy.etas
+    for i, draw in enumerate(draws):
         eta = etas[(misses[i] // mark0).bit_length()]
         cum = None if shared is None else shared.get(eta)
         if cum is None:
@@ -358,22 +362,19 @@ def _play_round(policy, lanes, record, request: int, hits: bytearray,
     counts[request] += 1
 
 
-def lockstep_replay(policies, trace: RequestTrace, start: int = 0,
+def lockstep_replay(policy, seeds, trace: RequestTrace, start: int = 0,
                     stop: int | None = None) -> list[RunRecord]:
-    """`[replay(p, trace) for p in policies]`, walking the machine once; only
-    rounds [start, stop) of it are played and recorded.
+    """`[replay(p_i, trace) for ..]`, p_i being `policy` built with
+    `seeds[i]`, from one walk of the machine; only rounds [start, stop) of
+    it are played and recorded.
 
-    The policies must be distinct, fresh (an empty `table`) and built alike
-    but for their seeds and eta schedules: the same class, name, sizes and
-    start state. Their state visits and per-state counts then depend on the
-    trace alone, so they walk the first policy's machine and fill its
-    `table`, one miss count per policy in each record; afterwards every
-    policy shares that machine and table, and so is not fresh. Each round
-    evaluates one marginal vector per distinct eta. Every policy draws one
-    uniform per round in the same order as under `replay`: each lane reads
-    its uniforms from `rng.floats(rounds played)`, so every generator moves
-    past the played rounds before play begins, and a raise mid-play leaves
-    it there.
+    `policy` must be fresh (an empty `table`). The seeds' state visits and
+    per-state counts depend on the trace alone, so they share its machine
+    and its table, which holds one miss count per seed in each record. Each
+    round evaluates one marginal vector per distinct eta. Lane i draws one
+    uniform per round in the same order as under `replay`, from
+    `SplitMix64(seeds[i])`'s `floats(rounds played)`; the policy's own
+    generator is not used.
 
     Under fixed eta round t's marginals depend on the first t requests only,
     so play may start at t > 0: a `state_file_counts` pass over them moves the
@@ -381,24 +382,17 @@ def lockstep_replay(policies, trace: RequestTrace, start: int = 0,
     draws. Doubling eta with such a start, or a start below 0, is a
     `DomainError`.
     """
-    if not policies:
-        return []
-    first = policies[0]
-    alike = (type(first), first.name, first.n_files, first.cache_size, first.machine.current)
-    if len({id(p) for p in policies}) < len(policies) or any(
-            (type(p), p.name, p.n_files, p.cache_size, p.machine.current) != alike
-            or p.table for p in policies):
-        raise DomainError("lockstep replay needs distinct fresh policies built alike "
-                          "but for the seed")
-    if start < 0 or start and any(p.eta_config.mode != "fixed" for p in policies):
+    if policy.table:
+        raise DomainError("lockstep replay needs a fresh policy, with an empty table")
+    if start < 0 or start and policy.eta_config.mode != "fixed":
         raise DomainError(f"a replay from round {start} needs start >= 0 and, above 0, fixed eta")
-    machine, table, n, k = first.machine, first.table, first.n_files, len(policies)
+    machine, table, n, k = policy.machine, policy.table, policy.n_files, len(seeds)
     played = len(range(len(trace))[start:stop])
-    lanes = []
-    for policy in policies:
-        policy.machine, policy.table = machine, table
-        policy.rng.skip(start)
-        lanes.append((policy.rng.floats(played).__next__, policy.etas))
+    draws = []
+    for seed in seeds:
+        rng = SplitMix64(seed)
+        rng.skip(start)
+        draws.append(rng.floats(played).__next__)
     before = state_file_counts(machine, trace.requests[:start], n) if start else None
     hits = bytearray()  # round-major: the hits of round t are hits[t*k:(t+1)*k]
     for x in islice(trace.requests, start, stop):
@@ -407,15 +401,14 @@ def lockstep_replay(policies, trace: RequestTrace, start: int = 0,
         if record is None:
             counts = [before[state * n + f] for f in range(n)] if start else [0] * n
             record = table[state] = (counts, [0] * k)
-        _play_round(first, lanes, record, x, hits, {} if k > 1 else None)
+        _play_round(policy, draws, record, x, hits, {} if k > 1 else None)
         machine.advance(x)
-    return [RunRecord(policy_name=policy.name, hits=bytes(hits[i::k]))
-            for i, policy in enumerate(policies)]
+    return [RunRecord(policy_name=policy.name, hits=bytes(hits[i::k])) for i in range(k)]
 
 
 class SagePolicy(MachineSagePolicy):
     """Single-instance SAGE: the order-0 window has one state."""
 
     def __init__(self, n_files: int, cache_size: int,
-                 eta_config: EtaConfig | None = None, seed: int = 0, name: str = "sage"):
-        super().__init__(name, Window(0, n_files), n_files, cache_size, eta_config, seed)
+                 eta_config: EtaConfig | None = None, seed: int = 0):
+        super().__init__("sage", Window(0, n_files), n_files, cache_size, eta_config, seed)

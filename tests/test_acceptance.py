@@ -208,7 +208,7 @@ def test_acceptance_06_small_loss_regret():
             trace = RequestTrace(n, requests[:horizon])
             static_hits = offline_markov_hit_rate(trace, 0, c)[1]
             bound = static_regret_bound(horizon - static_hits, n, c)
-            records = lockstep_replay([SagePolicy(n, c, seed=s) for s in seeds], trace)
+            records = lockstep_replay(SagePolicy(n, c), seeds, trace)
             regs = [static_hits - r.cumulative_hits for r in records]
             means[horizon] = mean(regs)
             assert means[horizon] <= bound, (name, horizon, means[horizon], bound)
@@ -241,7 +241,7 @@ def test_acceptance_07_zero_miss_order_one_regret():
         trace = build(horizon)
         rate, oracle_hits = offline_markov_hit_rate(trace, 1, c)
         assert oracle_hits == horizon  # zero-miss certificate for the oracle
-        records = lockstep_replay([MarkovSagePolicy(n, c, 1, seed=s) for s in range(20)], trace)
+        records = lockstep_replay(MarkovSagePolicy(n, c, 1), range(20), trace)
         regs = [oracle_hits - r.cumulative_hits for r in records]
         by_horizon[horizon] = mean(regs)
         assert by_horizon[horizon] <= bound, (horizon, by_horizon[horizon], bound)
@@ -310,10 +310,9 @@ def test_acceptance_09_parse_correctness_and_lz_regret():
         n, c = trace.n_files, 1
         lz_misses = offline_lz_oracle(trace, c)[0]
         c_t = parsed_tree(trace).node_count
-        policies = [LzSagePolicy(n, c, seed=s) for s in range(20)]
-        hits = [r.cumulative_hits for r in lockstep_replay(policies, trace)]
-        for policy in policies:
-            assert policy.machine.node_count == c_t  # the policy walks the same parse
+        policy = LzSagePolicy(n, c)
+        hits = [r.cumulative_hits for r in lockstep_replay(policy, range(20), trace)]
+        assert policy.machine.node_count == c_t  # the policy walks the same parse
         mh, se = mean(hits), _se(hits)
         for k in (0, 1, 2):
             oracle_hits = offline_markov_hit_rate(trace, k, c)[1]

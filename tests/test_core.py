@@ -159,14 +159,20 @@ def test_trace_validation():
     assert len(RequestTrace(1, [])) == 0
 
 
+def _write_trace(trace, path, base):
+    """A trace file with a ``BASE=<base>`` header, ids shifted up by `base`."""
+    path.write_text(f"# N={trace.n_files} BASE={base}\n"
+                    + "".join(f"{x + base}\n" for x in trace.requests))
+
+
 def test_trace_roundtrip(tmp_path):
     trace = RequestTrace(4, [0, 3, 1, 1, 2])
     p0 = tmp_path / "zero.trace"
     save_trace(trace, p0)
+    assert p0.read_text() == "# N=4 BASE=0\n0\n3\n1\n1\n2\n"
     assert load_trace(p0).requests == trace.requests
     p1 = tmp_path / "one.trace"
-    save_trace(trace, p1, base=1)
-    assert p1.read_text().splitlines()[1] == "1"
+    _write_trace(trace, p1, 1)
     loaded = load_trace(p1)
     assert loaded.requests == trace.requests
     assert loaded.n_files == 4
@@ -174,7 +180,7 @@ def test_trace_roundtrip(tmp_path):
     trace = random_trace(1000, 20_000, seed=3)
     for base in (0, 1):
         p = tmp_path / f"long{base}.trace"
-        save_trace(trace, p, base=base)
+        _write_trace(trace, p, base)
         assert p.stat().st_size > 3 * core._BLOCK_HINT
         loaded = load_trace(p)
         assert loaded.n_files == 1000
@@ -185,7 +191,6 @@ def test_trace_load_without_header(tmp_path):
     p = tmp_path / "bare.trace"
     p.write_text("0\n2\n1\n")
     assert load_trace(p).n_files == 3
-    assert load_trace(p, n_files=9).n_files == 9
 
 
 def test_trace_load_errors_name_the_line(tmp_path):
@@ -215,11 +220,6 @@ def test_trace_load_errors_name_the_line(tmp_path):
         p3.write_text(text)
         with pytest.raises(DataError, match=message):
             load_trace(p3)
-    p3.write_text("0\n2\n")
-    with pytest.raises(DataError, match=r":2: file id 2 outside \[0, 1\]"):
-        load_trace(p3, n_files=2)
-    with pytest.raises(DataError, match="library size must be >= 1, got 0"):
-        load_trace(p3, n_files=0)
 
 
 _SPACE = st.sampled_from(["", " ", "\t", "\v", "\f", "\x1c", " \t "])
@@ -241,10 +241,9 @@ _EOL = st.sampled_from(["\n", "\r\n", "\r"])
        lines=st.lists(st.tuples(_LINE, _EOL), max_size=12),
        bad=st.one_of(st.none(), st.tuples(st.integers(0, 12), _BAD_LINE, _EOL)),
        final_eol=st.booleans(),
-       n_files=st.one_of(st.none(), st.integers(0, 30)),
        hint=st.one_of(st.integers(1, 24), st.just(core._BLOCK_HINT)))
 def test_load_trace_matches_the_per_line_reference(tmp_path_factory, header, lines, bad,
-                                                   final_eol, n_files, hint):
+                                                   final_eol, hint):
     # Same trace from every accepted file, and the same error (so the same
     # line) from every rejected one, at block sizes down to one line.
     if bad:
@@ -257,13 +256,13 @@ def test_load_trace_matches_the_per_line_reference(tmp_path_factory, header, lin
     path = tmp_path_factory.getbasetemp() / "hyp.trace"
     path.write_bytes(text.encode("latin-1"))
     with mock.patch.object(core, "_BLOCK_HINT", hint):
-        assert _outcome(load_trace, path, n_files) == _outcome(load_trace_reference, path, n_files)
+        assert _outcome(load_trace, path) == _outcome(load_trace_reference, path)
 
 
-def _outcome(load, path, n_files=None):
+def _outcome(load, path):
     """(n_files, requests) of the loaded trace, or the loader's error message."""
     try:
-        trace = load(path, n_files)
+        trace = load(path)
     except DataError as exc:
         return str(exc)
     return trace.n_files, trace.requests

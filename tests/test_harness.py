@@ -159,6 +159,34 @@ seeds = 0:2
     assert "trace uses 4 files but FSM only knows 3" in r.stderr, r.stderr
 
 
+def test_a_learning_job_builds_one_policy_for_all_seeds(tmp_path, monkeypatch):
+    # The seeds are lanes of one policy: one parse tree per job, not one per seed.
+    built = []
+
+    class Counted(unicache.LzSagePolicy):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(unicache.harness, "_cpus", lambda: 1)
+    monkeypatch.setattr(unicache.harness, "LzSagePolicy", Counted)
+    cfg = _write_config(tmp_path / "exp.ini", """
+[trace]
+states = 4
+files = 3
+rounds = 300
+seed = 2
+
+[run]
+cache_size = 2
+policies = lz
+seeds = 0:3
+""")
+    rows = run_experiment(cfg)
+    assert [r.seed for r in rows] == [0, 1, 2]
+    assert len(built) == 1
+
+
 def test_static_oracle_counts_best_single_file(tmp_path):
     trace_path = tmp_path / "t.trace"
     save_trace(RequestTrace(4, [1, 1, 2, 3]), trace_path)

@@ -1,8 +1,9 @@
 """Lockstep seeds: every seed of a SAGE-family policy on one machine walk.
 
-`lockstep_replay` must reproduce `replay` hit for hit: the lanes share one
-marginal vector per (state, eta) per round, and each lane answers "is the
-request in the Madow sample?" by one walk over the running sums.
+`lockstep_replay(policy, seeds, trace)` must reproduce `replay` of the
+policy built with each seed, hit for hit: the lanes share one marginal
+vector per (state, eta) per round, and each lane answers "is the request
+in the Madow sample?" by one walk over the running sums.
 """
 
 import tracemalloc
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicache import (DomainError, EtaConfig, LzSagePolicy, MarkovSagePolicy, RequestTrace,
-                      SagePolicy, generate_trace, lockstep_replay, random_fsm, replay)
+                      SagePolicy, SplitMix64, generate_trace, lockstep_replay, random_fsm,
+                      replay)
 from unicache import sage as sage_mod
 from util import madow_members, madow_table
 
@@ -141,21 +143,20 @@ def test_membership_walk_edges():
 @pytest.mark.parametrize("label", POLICIES)
 def test_lockstep_matches_replay(readme_trace, label, mode):
     eta = _eta(mode)
-    alone = [_make(label, eta, seed) for seed in range(3)]
-    expect = [replay(policy, readme_trace).hits for policy in alone]
-    together = [_make(label, eta, seed) for seed in range(3)]
-    records = lockstep_replay(together, readme_trace)
-    assert [r.hits for r in records] == expect
-    assert [r.policy_name for r in records] == [label] * 3
-    for i, (a, b) in enumerate(zip(alone, together)):
-        assert b.machine is together[0].machine and b.table is together[0].table
-        assert len(b.table) == len(a.table)
-        assert b.rng.next_u64() == a.rng.next_u64()  # one draw per round each
-        # per state: the shared counts and this seed's miss count
-        assert [(counts, misses[i]) for counts, misses in b.table.values()] == \
-            [(counts, m) for counts, (m,) in a.table.values()]
-    if label == "lz":
-        assert together[0].machine.node_count == alone[0].machine.node_count
+    for seeds in ((0, 1, 2), (4, 4)):
+        alone = [_make(label, eta, seed) for seed in seeds]
+        expect = [replay(policy, readme_trace).hits for policy in alone]
+        policy = _make(label, eta, 99)
+        records = lockstep_replay(policy, seeds, readme_trace)
+        assert [r.hits for r in records] == expect
+        assert [r.policy_name for r in records] == [label] * len(seeds)
+        assert policy.rng.next_u64() == SplitMix64(99).next_u64()  # the lanes draw their own
+        for i, a in enumerate(alone):
+            # per state: the shared counts and this seed's miss count
+            assert [(counts, misses[i]) for counts, misses in policy.table.values()] == \
+                [(counts, m) for counts, (m,) in a.table.values()]
+        if label == "lz":
+            assert policy.machine.node_count == alone[0].machine.node_count
 
 
 def test_lockstep_on_the_scaled_path(monkeypatch):
@@ -172,7 +173,7 @@ def test_lockstep_on_the_scaled_path(monkeypatch):
     eta = EtaConfig(mode="fixed", eta=1.0)
     expect = replay(SagePolicy(120, 60, eta, seed=0), trace).hits
     monkeypatch.setattr(sage_mod, "_marginals_wide", counting)
-    assert lockstep_replay([SagePolicy(120, 60, eta, seed=0)], trace)[0].hits == expect
+    assert lockstep_replay(SagePolicy(120, 60, eta), [0], trace)[0].hits == expect
     assert len(wide_calls) >= 100
 
 
@@ -182,17 +183,8 @@ def test_step_is_the_one_lane_case(readme_trace, label):
     eta = _eta("doubling")
     stepped = _make(label, eta, 5)
     hits = bytes(stepped.step(x) for x in trace)
-    alone = lockstep_replay([_make(label, eta, 5)], RequestTrace(_FILES, trace))
+    alone = lockstep_replay(_make(label, eta, 0), [5], RequestTrace(_FILES, trace))
     assert alone[0].hits == hits
-
-
-def test_lanes_may_differ_in_eta_schedule(readme_trace):
-    trace = RequestTrace(_FILES, readme_trace.requests[:4_000])
-    etas = (EtaConfig(mode="fixed", eta=0.1), EtaConfig(mode="fixed", eta=0.3), _eta("doubling"))
-    expect = [replay(_make("markov:1", eta, seed), trace).hits for seed, eta in enumerate(etas)]
-    records = lockstep_replay([_make("markov:1", eta, seed) for seed, eta in enumerate(etas)],
-                              trace)
-    assert [r.hits for r in records] == expect
 
 
 def test_lanes_share_one_vector_per_eta(readme_trace, monkeypatch):
@@ -204,45 +196,37 @@ def test_lanes_share_one_vector_per_eta(readme_trace, monkeypatch):
         return marginals(counts, eta, cache_size)
 
     monkeypatch.setattr(sage_mod, "_marginals", counting)
-    lockstep_replay([_make("markov:4", _eta("fixed"), s) for s in range(5)], readme_trace)
+    lockstep_replay(_make("markov:4", _eta("fixed"), 0), range(5), readme_trace)
     assert len(calls) == ROUNDS  # one eta: one vector per round for all five seeds
     calls.clear()
-    lockstep_replay([_make("markov:4", _eta("doubling"), s) for s in range(5)], readme_trace)
+    lockstep_replay(_make("markov:4", _eta("doubling"), 0), range(5), readme_trace)
     assert ROUNDS < len(calls) < 2 * ROUNDS
 
 
 def test_lanes_hold_one_count_vector_per_state(readme_trace):
-    # 20 lz seeds over a prefix: every policy ends on one shared table whose
-    # records hold one count list and 20 miss counts. The traced peak is
-    # ~0.4 MB; a count vector per seed and state made it ~2.6 MB.
+    # 20 lz seeds over a prefix: the policy's table records hold one count
+    # list and 20 miss counts. The traced peak is ~0.4 MB; a count vector
+    # per seed and state made it ~2.6 MB.
     seeds = 20
-    policies = [_make("lz", _eta("doubling"), s) for s in range(seeds)]
+    policy = _make("lz", _eta("doubling"), 0)
     trace = RequestTrace(_FILES, readme_trace.requests[:4_000])
     tracemalloc.start()
     try:
-        lockstep_replay(policies, trace)
+        lockstep_replay(policy, range(seeds), trace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    table = policies[0].table
-    assert all(p.table is table for p in policies)
-    assert len(table) > 300
+    assert len(policy.table) > 300
     assert all(len(counts) == _FILES and len(misses) == seeds
-               for counts, misses in table.values())
+               for counts, misses in policy.table.values())
 
 
 def test_lockstep_validates():
-    eta = _eta("fixed")
-    assert lockstep_replay([], None) == []
-    used = _make("sage", eta, 1)
+    used = _make("sage", _eta("fixed"), 1)
     used.step(0)
-    fresh = _make("sage", eta, 2)
-    for mixed in ([_make("sage", eta, 0), used], [fresh, fresh],
-                  [_make("markov:1", eta, 0), _make("markov:4", eta, 1)],
-                  [SagePolicy(3, 2, eta, 0), SagePolicy(3, 1, eta, 1)]):
-        with pytest.raises(DomainError):
-            lockstep_replay(mixed, None)
+    with pytest.raises(DomainError, match="needs a fresh policy"):
+        lockstep_replay(used, [0], RequestTrace(_FILES, [0]))
 
 
 @pytest.mark.parametrize("label", POLICIES)
@@ -250,24 +234,22 @@ def test_fixed_eta_rounds_replay_in_ranges(readme_trace, label):
     # Each range starts from the counts, machine and generator states of its
     # first round, so the ranges' records join into the whole run's.
     eta = _eta("fixed")
-    whole = lockstep_replay([_make(label, eta, s) for s in range(3)], readme_trace)
+    whole = lockstep_replay(_make(label, eta, 0), range(3), readme_trace)
     cuts = (0, 1, 7_000, 7_001, ROUNDS - 1, ROUNDS)
-    parts = [lockstep_replay([_make(label, eta, s) for s in range(3)], readme_trace, lo, hi)
+    parts = [lockstep_replay(_make(label, eta, 0), range(3), readme_trace, lo, hi)
              for lo, hi in zip(cuts, cuts[1:])]
     assert [b"".join(part[i].hits for part in parts) for i in range(3)] == \
         [r.hits for r in whole]
-    assert lockstep_replay([_make(label, eta, 0)], readme_trace, ROUNDS, None)[0].hits == b""
+    assert lockstep_replay(_make(label, eta, 0), [0], readme_trace, ROUNDS, None)[0].hits == b""
 
 
 def test_a_range_past_round_0_needs_fixed_eta(readme_trace):
     # Doubling eta shrinks on a lane's own misses, which a range cannot know.
     trace = RequestTrace(_FILES, readme_trace.requests[:200])
-    policies = [_make("markov:1", eta, seed) for seed, eta in
-                enumerate((_eta("fixed"), _eta("doubling")))]
-    for start in (1, -1):  # nor can a range start before round 0
+    for mode, start in (("doubling", 1), ("fixed", -1)):  # nor can a range start before 0
+        policy = _make("markov:1", _eta(mode), 0)
         with pytest.raises(DomainError, match=f"from round {start} needs"):
-            lockstep_replay(policies, trace, start, 200)
-    # The policies are untouched: from round 0 they replay as usual.
-    assert [r.hits for r in lockstep_replay(policies, trace, 0, 200)] == \
-        [replay(_make("markov:1", p.eta_config, seed), trace).hits
-         for seed, p in enumerate(policies)]
+            lockstep_replay(policy, range(2), trace, start, 200)
+        # The policy is untouched: from round 0 it replays as usual.
+        assert [r.hits for r in lockstep_replay(policy, range(2), trace, 0, 200)] == \
+            [replay(_make("markov:1", _eta(mode), seed), trace).hits for seed in range(2)]

@@ -220,9 +220,9 @@ def test_per_context_regret_bound():
     horizon = len(trace)
     for k in (1, 2):
         oracle_hits = offline_markov_hit_rate(trace, k, 2)[1]
-        policies = [MarkovSagePolicy(4, 2, k=k, seed=seed) for seed in range(20)]
+        policy = MarkovSagePolicy(4, 2, k=k)
         regrets = [oracle_hits - rec.cumulative_hits
-                   for rec in lockstep_replay(policies, trace)]
-        contexts = len(policies[-1].table)
+                   for rec in lockstep_replay(policy, range(20), trace)]
+        contexts = len(policy.table)
         bound = fsm_regret_bound(contexts, horizon - oracle_hits, 4, 2)
         assert mean(regrets) <= bound, (k, mean(regrets), bound)

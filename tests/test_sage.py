@@ -426,10 +426,9 @@ def _lane_table(counts, eta, c, shared):
         seen.append((cum, size))
         return 1
 
-    lane = ((lambda: 0.5, [eta]),)  # no misses: the lane plays etas[0]
-    policy = mock.Mock(cache_size=c, mark0=1)
+    policy = mock.Mock(cache_size=c, mark0=1, etas=[eta])  # no misses: the lane plays etas[0]
     with mock.patch.object(sage_mod, "_madow_walk", walk):
-        raised = _outcome(sage_mod._play_round, policy, lane, (list(counts), [0]), 0,
+        raised = _outcome(sage_mod._play_round, policy, (lambda: 0.5,), (list(counts), [0]), 0,
                           bytearray(), shared)
     return (_hex(seen[0][0]), seen[0][1]) if seen else raised
 

@@ -336,7 +336,7 @@ def nonzero_counts(rows) -> Counter:
                     for x, n in enumerate(row) if n})
 
 
-def load_trace_reference(path, n_files: int | None = None) -> RequestTrace:
+def load_trace_reference(path) -> RequestTrace:
     """`core.load_trace` one line at a time: strip, skip blanks, read the
     header from line 1 only, `int` each other line, then range-check each id
     as written against the library, naming its line."""
@@ -359,13 +359,11 @@ def load_trace_reference(path, n_files: int | None = None) -> RequestTrace:
                                     f"{line!r}") from None
         except UnicodeDecodeError:
             raise DataError(f"{path}: not an ASCII text file") from None
-    n = declared_n if declared_n is not None else n_files
+    n = declared_n
     if n is None:
         if not ids:
             raise DataError(f"{path}: empty trace with no library size declared")
         n = max(max(x for _, _, x in ids) + 1, 1)
-    if n < 1:
-        raise DataError(f"{path}: library size must be >= 1, got {n}")
     for lineno, line, x in ids:
         if not base <= x <= n - 1 + base:
             raise DataError(f"{path}:{lineno}: file id {line} outside [{base}, {n - 1 + base}]")
