@@ -21,7 +21,7 @@ One evaluator computes the marginals, at order m = min(C, N - C):
   Tille 2006, ch. 5). Past C = N/2 the evaluator runs this side;
 - peel: 1 - p(i) <= (N - m) * w_(m+1) / w(i), w_(m+1) the (m+1)-th
   largest weight, so files where that bound is below e**-42 get p = 1
-  and the rest run at a lower order;
+  and weight 0 where they stand, and the tables run at a lower order;
 - rescale: marginals are homogeneous of degree 0 in w, so the weights are
   built in the log domain around the mean count of the top m weights. The
   largest order-m product is then 1 and 1 <= e_m <= (N choose m), where
@@ -32,8 +32,9 @@ One evaluator computes the marginals, at order m = min(C, N - C):
   e_{m-1}(w without i) = sum_a P_{i-1}[a] * S_{i+1}[m-1-a] adds
   nonnegative terms only: exact to rounding in O(N*m). At m = 1 that is
   e_0 = 1 and there are no tables: at the README setting (N=3, C=2),
-  p(i) = 1 - v(i) / sum(v) with v = 1/w, which `_hedge_marginals`
-  computes directly, with the tables' float operations in their order.
+  p(i) = 1 - v(i) / sum(v) with v = 1/w, which a round's table
+  (`_running_sums`) computes directly, with the tables' float operations
+  in their order.
 
 The tables run in plain doubles while every e_a(w), a <= m, stays at most
 2**900. A top group spread in two clusters can pass that bound (only at
@@ -45,12 +46,16 @@ counts, and a seed's eta is a function of its miss count there. So each
 visited state keeps one record, its counts and one miss count per seed.
 `lockstep_replay(policy, seeds, trace)` runs the seeds as lanes of one
 policy: its machine walks once and its table holds one miss count per
-seed. Each round evaluates one marginal vector per distinct eta; each
-lane draws one uniform, from the bulk `floats` stream of its seed's
-generator, and walks the running sums of that shared vector, built by
-`itertools.accumulate` with one check of their total (`_play_round`).
-`MachineSagePolicy.step` is the one-lane case, drawing from the policy's
-own generator.
+seed. Each round builds one table per distinct eta in one call, the
+running sums of the marginals and the largest marginal
+(`_running_sums`), and each lane draws one uniform, from the bulk
+`floats` stream of its seed's generator. The lanes all ask whether the
+round's request x is in their sample, so the table's entry is the two
+ranges of u that select x (`_lookup`): at most three comparisons a lane.
+A check per table proves those ranges equal to Madow's walk for every u;
+the few tables it cannot vouch for are walked, lane by lane
+(`_madow_walk`). `MachineSagePolicy.step` is the one-lane case, drawing
+from the policy's own generator, and walks.
 Under fixed eta no marginal depends on a draw, so a lockstep run may start
 at any round, from the counts and generator states of that round.
 """
@@ -73,6 +78,10 @@ _PLAIN_MAX = 2.0 ** 900
 _PEEL_NATS = 42.0
 
 _MARGINAL_SUM_TOL = 1e-9
+
+# No marginal, and no step of its running sums, below this can force the
+# walk's `j += 1`, while ulp(C) << 2**-30 (see `_lookup`).
+_NEAR_ONE = 1.0 - 2.0 ** -30
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +120,6 @@ def _esp_loo(w: list, order: int, one=1.0, limit=_PLAIN_MAX):
 # Marginal inclusion probabilities
 
 
-def _finish_marginals(p: list[float], cache_size: int) -> list[float]:
-    s = math.fsum(p)
-    if not abs(s - cache_size) <= _MARGINAL_SUM_TOL:
-        raise NumericError("marginals failed to normalize to the cache size")
-    if s != cache_size:
-        p = list(map((cache_size / s).__mul__, p))
-    if min(p) < 0.0 or max(p) > 1.0:
-        p = [1.0 if v > 1.0 else (0.0 if v < 0.0 else v) for v in p]
-    return p
-
-
 def _marginals_wide(log_weights: list[float], order: int) -> list[float]:
     """Order-`order` marginals of the weights exp(log_weights), unnormalized:
     the same tables in `decimal`, whose exponent range no e_a(w) can leave."""
@@ -140,46 +138,85 @@ def _hedge_marginals(counts, eta: float, order: int) -> list[float]:
 
     eta > 0 gives the order-`order` marginals q of the weights
     w = exp(eta * count); eta < 0 gives 1 - q for the weights 1/w, the
-    complement side. Files past the peel bound get q = 1 and the rest run
-    at the lower order; the reduced problem has the same bound, so there is
-    one peel at most. No log weight around the mean count of the top
-    `order` weights then exceeds the bound, so exp cannot overflow.
+    complement side. Files past the peel bound get q = 1 and weight 0
+    where they stand, and the tables run once at the order left: a weight
+    0 adds `x + 0.0 == x` and multiplies to `0.0 * y == 0.0` in every
+    table entry (all are >= 0), and exp(-inf) is 0 in `decimal` too, so
+    the kept files' q are those of the reduced problem to the bit. That
+    problem has the same peel bound, so there is one peel at most. No log
+    weight around the mean count of the top `order` kept weights then
+    exceeds the bound, so exp cannot overflow.
     """
     n = len(counts)
-    if order == 0:
-        return [0.0 if eta > 0 else 1.0] * n
     ranked = sorted(counts, reverse=eta > 0)
     bar = ranked[order]
     cut = math.log(n - order) + _PEEL_NATS
+    top = ranked[:order]
+    peel = None
     if eta * (ranked[0] - bar) > cut:
-        kept = [i for i, x in enumerate(counts) if eta * (x - bar) <= cut]
-        p = [1.0 if eta > 0 else 0.0] * n
-        sub = _hedge_marginals([counts[i] for i in kept], eta, order - (n - len(kept)))
-        for i, v in zip(kept, sub):
-            p[i] = v
-        return p
-    ref = sum(ranked[:order]) / order
-    exp = math.exp
-    w = [exp(eta * (x - ref)) for x in counts]
-    if order == 1:  # `_esp_loo`'s e_0 = 1 factors are `x * 1.0 == x`
-        e = reduce(add, w)
-        return [v / e for v in w] if eta > 0 else [1.0 - v / e for v in w]
-    esp = _esp_loo(w, order)
-    if esp is None:
-        q = _marginals_wide([eta * (x - ref) for x in counts], order)
-        return q if eta > 0 else [1.0 - v for v in q]
-    e, loo = esp
-    if eta > 0:
-        return [wi * f / e for wi, f in zip(w, loo)]
-    return [1.0 - wi * f / e for wi, f in zip(w, loo)]
+        peel = [eta * (x - bar) > cut for x in counts]
+        gone = -math.inf if eta > 0 else math.inf  # eta * (gone - ref) is -inf
+        counts = [gone if k else x for k, x in zip(peel, counts)]
+        top = top[sum(peel):]
+    order = len(top)
+    if not order:
+        q = [0.0] * n
+    else:
+        ref = sum(top) / order
+        exp = math.exp
+        w = [exp(eta * (x - ref)) for x in counts]
+        esp = _esp_loo(w, order)
+        if esp is None:
+            q = _marginals_wide([eta * (x - ref) for x in counts], order)
+        else:
+            e, loo = esp
+            q = [wi * f / e for wi, f in zip(w, loo)]
+    p = q if eta > 0 else [1.0 - v for v in q]
+    if peel:
+        mark = 1.0 if eta > 0 else 0.0
+        p = [mark if k else v for k, v in zip(peel, p)]
+    return p
 
 
 def _marginals(counts, eta: float, cache_size: int) -> list[float]:
     """Hedge marginals at order min(C, N - C); see the module docstring."""
+    return _running_sums(counts, eta, cache_size)[2]
+
+
+def _running_sums(counts, eta: float, cache_size: int):
+    """(cum, max(p), p): the running sums 0, p[0], p[0] + p[1], .. of the
+    Hedge marginals p at order min(C, N - C) in one call, the table a
+    round's lanes read. p is scaled to sum to C and clamped to [0, 1]. At
+    order 1, unless the peel fires, p is w / sum(w), or 1 - w / sum(w) on
+    the complement side: the general tables' float operations in their
+    order, as their e_0 = 1 factors are `x * 1.0 == x`."""
     n = len(counts)
     if 2 * cache_size > n:  # the complement side, weights 1/w at order N - C
-        return _finish_marginals(_hedge_marginals(counts, -eta, n - cache_size), cache_size)
-    return _finish_marginals(_hedge_marginals(counts, eta, cache_size), cache_size)
+        eta, order = -eta, n - cache_size
+    else:
+        order = cache_size
+    p = None
+    if order == 1:
+        ranked = sorted(counts, reverse=eta > 0)
+        ref = ranked[0]
+        if eta * (ref - ranked[1]) <= math.log(n - 1) + _PEEL_NATS:
+            exp = math.exp
+            w = [exp(eta * (x - ref)) for x in counts]
+            e = reduce(add, w)
+            p = [v / e for v in w] if eta > 0 else [1.0 - v / e for v in w]
+    if p is None:
+        p = _hedge_marginals(counts, eta, order)
+    s = math.fsum(p)
+    if not abs(s - cache_size) <= _MARGINAL_SUM_TOL:
+        raise NumericError("marginals failed to normalize to the cache size")
+    if s != cache_size:
+        k = cache_size / s
+        p = [k * v for v in p]
+    top = max(p)
+    if top > 1.0 or min(p) < 0.0:
+        p = [1.0 if v > 1.0 else (0.0 if v < 0.0 else v) for v in p]
+        top = max(p)
+    return [0.0, *accumulate(p)], top, p
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +227,8 @@ def _madow_walk(cum: list[float], c: int, u: float, x: int) -> int:
     """Madow's systematic sample of C indices from one uniform u in [0, 1),
     walked over the running sums `cum` of p, total C: index j is in the
     sample iff some offset i in {0..C-1} has cum[j] <= u + i < cum[j + 1].
-    Returns 1 if index x is in it, else 0; a lane needs only its request's
-    answer."""
+    Returns 1 if index x is in it, else 0. One-lane rounds, and the tables
+    `_lookup` cannot vouch for, walk."""
     if not 0.0 <= u < 1.0:
         raise DomainError(f"uniform draw {u} outside [0, 1)")
     hit = 0
@@ -207,6 +244,41 @@ def _madow_walk(cum: list[float], c: int, u: float, x: int) -> int:
             hit = 1
         j += 1  # the next offset always lands strictly past this element
     return hit
+
+
+def _lookup(cum: list[float], top: float, c: int, x: int):
+    """(b, a, h) such that `_madow_walk(cum, c, u, x)` is 1 iff u < b or
+    a <= u < h, for every u in [0, 1); None where the table fails the check.
+
+    Every comparison the walk makes is `cum[j + 1] - i <= u`, monotone in
+    j, so offset i stops on the first j with cum[j + 1] - i > u (the last
+    index if none: the `j < last` clamp). Where that first index grows with
+    i, x is selected iff some offset i has cum[x] - i <= u < cum[x + 1] - i,
+    upper bound open for the last index; i = int(cum[x]) and i + 1 are the
+    only candidates, as steps are at most 1, and below C. The lower bound
+    of i + 1 is negative. The check rules out the walk's two departures:
+    - a forced `j += 1`: offset i stops where offset i - 1 did, k < last,
+      so cum[k] - (i - 1) <= u < cum[k + 1] - i, which needs a rounded step
+      within a few ulp(C) of 1. Steps are within 2 ulp(C) of their p, so
+      with ulp(C) << 2**-30 (C << 2**22) a step, or a largest p, below
+      1 - 2**-30 has none;
+    - a walk past the last index: offset C - 2 reaches it, so
+      cum[last] - (C - 2) <= u.
+    """
+    last = len(cum) - 2
+    if c > 1 and cum[last] - (c - 2) < 1.0:
+        return None
+    if top >= _NEAR_ONE:
+        for k in range(1, last):
+            if cum[k + 1] - cum[k] >= _NEAR_ONE:
+                for i in range(1, c):
+                    if cum[k + 1] - i > cum[k] - (i - 1):
+                        return None
+    lo = cum[x]
+    i = int(lo)
+    hi = cum[x + 1] if x < last else math.inf
+    return (hi - (i + 1) if i + 1 < c else 0.0,
+            lo - i if i < c else math.inf, hi - i)
 
 
 # ---------------------------------------------------------------------------
@@ -326,39 +398,48 @@ class MachineSagePolicy:
         if record is None:
             record = self.table[state] = ([0] * self.n_files, [0])
         hits = bytearray()
-        _play_round(self, (self.rng.next_float,), record, request, hits, None)
+        _play_round(self, (self.rng.next_float,), record, request, hits)
         self.machine.advance(request)
         return hits[0]
 
 
-def _play_round(policy, draws, record, request: int, hits: bytearray,
-                shared: dict | None) -> None:
+def _play_round(policy, draws, record, request: int, hits: bytearray) -> None:
     """One round of each lane at the state of `record`: Madow-sample from
     one uniform of the lane's draw (a callable), score, count a miss, append
     the hit to `hits`; then count the request. Lane i plays
     `policy.etas[(misses[i] // mark0).bit_length()]`, the table entry after
     its miss count crossed the thresholds mark0, 2 * mark0, .., below 65
-    for any count under 2**64 * mark0. Lanes with equal eta share the
-    running sums of one marginal vector through `shared`, an empty dict
-    each round; a single lane passes None.
+    for any count under 2**64 * mark0. Lanes with equal eta share one table
+    of running sums; with more than one lane, its entry is the `_lookup` of
+    the request, or the sums where the lookup's check fails, and a single
+    lane walks the sums.
     """
     counts, misses = record
     c, mark0, etas = policy.cache_size, policy.mark0, policy.etas
+    lanes = len(draws) > 1
+    shared = {}
+    prev = None
     for i, draw in enumerate(draws):
         eta = etas[(misses[i] // mark0).bit_length()]
-        cum = None if shared is None else shared.get(eta)
-        if cum is None:
-            # `_finish_marginals` leaves every p in [0, 1], so only the
-            # running sum's total needs a check
-            cum = list(accumulate(_marginals(counts, eta, c), initial=0.0))
-            if not abs(cum[-1] - c) <= _MARGINAL_SUM_TOL:
-                raise DomainError(f"marginals sum to {cum[-1]}, not the cache size {c}")
-            if shared is not None:
-                shared[eta] = cum
-        hit = _madow_walk(cum, c, draw(), request)
-        if not hit:
+        if eta is not prev:  # lanes of one eta mostly come in a row
+            prev = eta
+            entry = shared.get(eta)
+            if entry is None:
+                cum, top, _ = _running_sums(counts, eta, c)
+                if not abs(cum[-1] - c) <= _MARGINAL_SUM_TOL:  # each p is in [0, 1] already
+                    raise DomainError(f"marginals sum to {cum[-1]}, not the cache size {c}")
+                entry = shared[eta] = lanes and _lookup(cum, top, c, request) or cum
+            if entry.__class__ is tuple:
+                b, a, h = entry
+                cum = None
+            else:
+                cum = entry
+        u = draw()
+        if (u < b or a <= u < h) if cum is None else _madow_walk(cum, c, u, request):
+            hits.append(1)
+        else:
             misses[i] += 1
-        hits.append(hit)
+            hits.append(0)
     counts[request] += 1
 
 
@@ -401,7 +482,7 @@ def lockstep_replay(policy, seeds, trace: RequestTrace, start: int = 0,
         if record is None:
             counts = [before[state * n + f] for f in range(n)] if start else [0] * n
             record = table[state] = (counts, [0] * k)
-        _play_round(policy, draws, record, x, hits, {} if k > 1 else None)
+        _play_round(policy, draws, record, x, hits)
         machine.advance(x)
     return [RunRecord(policy_name=policy.name, hits=bytes(hits[i::k])) for i in range(k)]
 

@@ -3,20 +3,26 @@
 `lockstep_replay(policy, seeds, trace)` must reproduce `replay` of the
 policy built with each seed, hit for hit: the lanes share one marginal
 vector per (state, eta) per round, and each lane answers "is the request
-in the Madow sample?" by one walk over the running sums.
+in the Madow sample?" from two intervals of u that the table gives, or
+by one walk over its running sums where a check cannot show those
+intervals equal to the walk.
 """
 
+import math
 import tracemalloc
+from itertools import accumulate
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unicache import (DomainError, EtaConfig, LzSagePolicy, MarkovSagePolicy, RequestTrace,
                       SagePolicy, SplitMix64, generate_trace, lockstep_replay, random_fsm,
                       replay)
 from unicache import sage as sage_mod
-from util import madow_members, madow_table
+from util import madow_members, madow_step_answer, madow_step_reference, madow_table
 
 # The golden README trace: Q=50 states, N=3 files, C=2, T=2e4.
 ROUNDS = 20_000
@@ -136,6 +142,113 @@ def test_membership_walk_edges():
 
 
 # ---------------------------------------------------------------------------
+# the lanes' lookup
+
+
+def _outcome(f, *args):
+    try:
+        return int(f(*args))
+    except (DomainError, sage_mod.NumericError) as exc:
+        return type(exc)
+
+
+_EDGES = (0.0, 2.0 ** -52, 1.0 - 2.0 ** -52, 1.0)
+
+
+@st.composite
+def _lane_tables(draw):
+    """(cum, top, c): running sums of p in [0, 1], total C within 1e-9, and
+    max(p), as `_running_sums` hands them to a round's lanes. Either p is
+    pairs (v, 1 - v), v often an edge value, in any order and with one
+    entry moved a few ulps, so the total is a few ulps off C; or p comes
+    from counts, with the peel firing and on both sides."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=2, max_value=8))
+        c = draw(st.integers(min_value=1, max_value=n))
+        counts = draw(st.lists(st.integers(min_value=0, max_value=40), min_size=n, max_size=n))
+        for k in draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=n)):
+            counts[k] += draw(st.integers(min_value=0, max_value=3_000))  # a lead to peel
+        eta = draw(st.floats(min_value=1e-3, max_value=5.0))
+        try:
+            cum, top, _ = sage_mod._running_sums(counts, eta, c)
+        except sage_mod.NumericError:
+            assume(False)
+        assume(abs(cum[-1] - c) <= 1e-9)  # else the round raises before any lane draws
+        return cum, top, c
+    unit = st.one_of(st.sampled_from(_EDGES), st.floats(min_value=0.0, max_value=1.0))
+    pairs = draw(st.lists(unit, min_size=1, max_size=4))
+    p = [v for pair in pairs for v in (pair, 1.0 - pair)]
+    c = len(pairs)
+    p = [p[i] for i in draw(st.permutations(range(len(p))))]
+    k = draw(st.integers(min_value=0, max_value=len(p) - 1))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        p[k] = math.nextafter(p[k], draw(st.sampled_from((0.0, 1.0))))
+    return list(accumulate(p, initial=0.0)), max(p), c
+
+
+def _draws_to_check(entry, step):
+    """0, the largest double below 1, and every threshold of the walk and of
+    the lookup in [0, 1) with the doubles either side of it."""
+    us = {0.0, 1.0 - 2.0 ** -53}
+    for t in step[0] + list(entry or ()):
+        us.update((math.nextafter(t, -1.0), t, math.nextafter(t, 2.0)))
+    return [u for u in us if 0.0 <= u < 1.0]
+
+
+def _lanes_answer(cum, c, u, x):
+    """What the two lanes of a round answer for request x, both drawing u,
+    when the round's table is `cum`: 1 or 0, or the type of what it raised."""
+    policy = SimpleNamespace(cache_size=c, mark0=1, etas=[1.0])
+    hits = bytearray()
+    try:
+        sage_mod._play_round(policy, (lambda: u, lambda: u), ([0] * (len(cum) - 1), [0, 0]),
+                             x, hits)
+    except (DomainError, sage_mod.NumericError) as exc:
+        return type(exc)
+    assert hits[0] == hits[1]
+    return hits[0]
+
+
+@given(_lane_tables())
+@settings(max_examples=300, deadline=None)
+def test_lookup_equals_the_walk_for_every_draw(table):
+    # The lanes' answer, the lookup or, where its check fails, the walk, is
+    # the walk's and the step-function reference's at every draw where any
+    # of them can change, errors included.
+    cum, top, c = table
+    with mock.patch.object(sage_mod, "_running_sums", lambda counts, eta, size: (cum, top, None)):
+        for x in range(len(cum) - 1):
+            step = madow_step_reference(cum, c, x)
+            for u in _draws_to_check(sage_mod._lookup(cum, top, c, x), step):
+                walk = _outcome(sage_mod._madow_walk, cum, c, u, x)
+                assert madow_step_answer(step, u) == walk, (cum, c, x, u)
+                assert _lanes_answer(cum, c, u, x) == walk, (cum, c, x, u)
+
+
+def test_lookup_edges():
+    u = 1.0 - 2.0 ** -53
+    # the last index: open above (the walk's `j < last` clamp)
+    cum = list(accumulate([0.5, 0.5, 1.0 - 2.0 ** -52], initial=0.0))
+    assert cum[-1] < 2.0 and sage_mod._lookup(cum, 1.0, 2, 2)[2] == math.inf
+    assert sage_mod._madow_walk(cum, 2, u, 2) == 1
+    # a forced advance: cum[2] - 1 rounds above cum[1]; the walk selects [1, 2] at 0.1
+    cum = list(accumulate([0.1, 1.0, 0.9], initial=0.0))
+    assert cum[2] - 1 > cum[1] and sage_mod._lookup(cum, 1.0, 2, 1) is None
+    # a total just below C: offset 0 can reach the last index, offset 1 walks past it
+    cum = [0.0, 0.047425873177566635, 1.0 - 2.0 ** -53, 2.0]
+    assert sage_mod._lookup(cum, 1.0, 2, 0) is None
+    with pytest.raises(sage_mod.NumericError, match="walked past"):
+        sage_mod._madow_walk(cum, 2, u, 0)
+    # each bound, drawn exactly: (b, a, h) of x = 2 is (0.3 + ulp, 0.7, 1.3)
+    cum = list(accumulate([0.3, 0.4, 0.6, 0.7], initial=0.0))
+    b, a, h = sage_mod._lookup(cum, 0.7, 2, 2)
+    assert 0.0 < b < a < 1.0 < h
+    with mock.patch.object(sage_mod, "_running_sums", lambda counts, eta, size: (cum, 0.7, None)):
+        for x, u, hit in ((2, b, 0), (2, a, 1), (1, a, 0), (3, b, 1)):
+            assert _lanes_answer(cum, 2, u, x) == sage_mod._madow_walk(cum, 2, u, x) == hit
+
+
+# ---------------------------------------------------------------------------
 # lockstep replay against per-seed replay
 
 
@@ -189,18 +302,53 @@ def test_step_is_the_one_lane_case(readme_trace, label):
 
 def test_lanes_share_one_vector_per_eta(readme_trace, monkeypatch):
     calls = []
-    marginals = sage_mod._marginals
+    running_sums = sage_mod._running_sums
 
     def counting(counts, eta, cache_size):
         calls.append(eta)
-        return marginals(counts, eta, cache_size)
+        return running_sums(counts, eta, cache_size)
 
-    monkeypatch.setattr(sage_mod, "_marginals", counting)
+    monkeypatch.setattr(sage_mod, "_running_sums", counting)
     lockstep_replay(_make("markov:4", _eta("fixed"), 0), range(5), readme_trace)
     assert len(calls) == ROUNDS  # one eta: one vector per round for all five seeds
     calls.clear()
     lockstep_replay(_make("markov:4", _eta("doubling"), 0), range(5), readme_trace)
     assert ROUNDS < len(calls) < 2 * ROUNDS
+
+
+def _counting_walks(monkeypatch):
+    walks = []
+    walk = sage_mod._madow_walk
+
+    def counting(cum, c, u, x):
+        walks.append(1)
+        return walk(cum, c, u, x)
+
+    monkeypatch.setattr(sage_mod, "_madow_walk", counting)
+    return walks
+
+
+def test_lanes_walk_few_tables(readme_trace, monkeypatch):
+    # Exact either way, so only a count shows a lookup that stopped being
+    # used: 3 seeds of each policy walk 294 of 240,000 lane-rounds (all
+    # markov:4, from 112 tables), and the bound is 1% of them, 8x that
+    # count; walking every table would make it 100%.
+    walks = _counting_walks(monkeypatch)
+    for label in POLICIES:
+        lockstep_replay(_make(label, _eta("doubling"), 0), range(3), readme_trace)
+    assert 0 < len(walks) <= len(POLICIES) * 3 * ROUNDS // 100
+
+
+def test_a_table_that_fails_the_check_is_walked(monkeypatch):
+    # At counts (0, 3, 38) and eta 1 file 2 has p = 1 and cum[2] rounds to
+    # 1 - 2**-53, so offset 0 can reach the last index: the lanes walk.
+    trace = RequestTrace(_FILES, [2] * 38 + [1] * 3 + [0, 2, 1] * 20)
+    eta = EtaConfig(mode="fixed", eta=1.0)
+    expect = [replay(SagePolicy(_FILES, _CACHE, eta, seed), trace).hits for seed in range(4)]
+    walks = _counting_walks(monkeypatch)
+    assert [r.hits for r in lockstep_replay(SagePolicy(_FILES, _CACHE, eta), range(4), trace)] \
+        == expect
+    assert walks
 
 
 def test_lanes_hold_one_count_vector_per_state(readme_trace):

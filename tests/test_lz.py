@@ -149,15 +149,16 @@ def test_offline_oracle_near_perfect_on_regular_stream():
 
 def test_lz_policy_first_round_is_uniform(monkeypatch):
     played = []
-    marginals = sage_mod._marginals
+    running_sums = sage_mod._running_sums
 
     def spy(*args):
-        played.append(marginals(*args))
-        return played[-1]
+        table = running_sums(*args)
+        played.append(table[0])
+        return table
 
-    monkeypatch.setattr(sage_mod, "_marginals", spy)
+    monkeypatch.setattr(sage_mod, "_running_sums", spy)
     LzSagePolicy(5, 2, seed=0).step(0)
-    assert played == [pytest.approx([0.4] * 5, abs=1e-12)]
+    assert played == [pytest.approx([0.0, 0.4, 0.8, 1.2, 1.6, 2.0], abs=1e-12)]
 
 
 def test_lz_policy_reproducible():

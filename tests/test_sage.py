@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from unicache import (DomainError, EtaConfig, LzSagePolicy, MarkovSagePolicy, NumericError,
                       RequestTrace, SagePolicy, SageState, SplitMix64)
 from unicache import sage as sage_mod
-from util import (eta_schedule_reference, hedge_bruteforce_marginals, madow_members,
-                  madow_table, zipf_trace)
+from util import (eta_schedule_reference, finish_reference, hedge_bruteforce_marginals,
+                  hedge_marginals_recursive_reference, madow_members, madow_table, zipf_trace)
 
 # ---------------------------------------------------------------------------
 # elementary symmetric polynomials, in doubles and in `decimal`
@@ -26,7 +27,7 @@ def _both_paths(weights, c):
     e, loo = esp
     plain = [w * f / e for w, f in zip(weights, loo)]
     wide = sage_mod._marginals_wide([math.log(w) for w in weights], c)
-    return sage_mod._finish_marginals(plain, c), sage_mod._finish_marginals(wide, c)
+    return finish_reference(plain, c), finish_reference(wide, c)
 
 
 def _max_error(got, expect):
@@ -56,8 +57,10 @@ def test_esp_all_errors():
     # no order-C product is nonzero: marginals are undefined
     with pytest.raises(NumericError):
         sage_mod._marginals_wide([0.0, -math.inf, -math.inf], 2)
-    with pytest.raises(NumericError):
-        sage_mod._finish_marginals([0.5, 0.2], 1)
+    # marginals that do not sum to C
+    with mock.patch.object(sage_mod, "_hedge_marginals", lambda counts, eta, order: [0.5, 0.2]):
+        with pytest.raises(NumericError, match="failed to normalize"):
+            sage_mod._marginals([0, 0, 0, 0], 1.0, 2)
     with pytest.raises(DomainError):
         SageState(2, 3, eta=1.0)
 
@@ -418,19 +421,24 @@ def _hex(p):
     return [v.hex() for v in p] if isinstance(p, list) else p
 
 
-def _lane_table(counts, eta, c, shared):
-    """The running sums a lane of `_play_round` walks, or the error type."""
+def _lane_table(counts, eta, c, lanes):
+    """The running sums and largest marginal that a round of `_play_round`
+    with `lanes` lanes reads, one table for all of them, or the error type."""
     seen = []
+    running_sums = sage_mod._running_sums
 
-    def walk(cum, size, u, x):
-        seen.append((cum, size))
-        return 1
+    def spy(*args):
+        seen.append(running_sums(*args))
+        return seen[-1]
 
-    policy = mock.Mock(cache_size=c, mark0=1, etas=[eta])  # no misses: the lane plays etas[0]
-    with mock.patch.object(sage_mod, "_madow_walk", walk):
-        raised = _outcome(sage_mod._play_round, policy, (lambda: 0.5,), (list(counts), [0]), 0,
-                          bytearray(), shared)
-    return (_hex(seen[0][0]), seen[0][1]) if seen else raised
+    policy = SimpleNamespace(cache_size=c, mark0=1, etas=[eta])  # no misses: lanes play etas[0]
+    with mock.patch.object(sage_mod, "_running_sums", spy):
+        raised = _outcome(sage_mod._play_round, policy, (lambda: 0.5,) * lanes,
+                          (list(counts), [0] * lanes), 0, bytearray())
+    if isinstance(raised, type):
+        return raised
+    assert len(seen) == 1
+    return _hex(seen[0][0]), seen[0][1].hex()
 
 
 @st.composite
@@ -470,20 +478,62 @@ def _order_one_reference(counts, side):
 @given(_order_one_cases())
 @settings(max_examples=300, deadline=None)
 def test_order_one_marginals_and_lane_tables_are_bit_identical(case):
-    # `_hedge_marginals` computes order 1 without the ESP tables and the
-    # lanes take a bare running sum; both must be the general path's floats
-    # to the bit.
+    # `_running_sums` computes order 1 without the ESP tables; its marginals
+    # and its running sums must be the general path's floats to the bit, on
+    # one lane and on three.
     counts, c, eta = case
     n = len(counts)
     side, order = (-eta, n - c) if 2 * c > n else (eta, c)
-    if order == 1:
-        got = _outcome(sage_mod._marginals, counts, eta, c)
-        expect = _outcome(sage_mod._finish_marginals, _order_one_reference(counts, side), c)
-        assert _hex(got) == _hex(expect)
-    table = _outcome(lambda: madow_table(sage_mod._marginals(counts, eta, c)))
-    reference = table if isinstance(table, type) else (_hex(table[0]), table[1])
-    assert _lane_table(counts, eta, c, None) == reference
-    assert _lane_table(counts, eta, c, {}) == reference
+    general = (_order_one_reference(counts, side) if order == 1
+               else sage_mod._hedge_marginals(counts, side, order))
+    p = _outcome(finish_reference, general, c)
+    assert _hex(_outcome(sage_mod._marginals, counts, eta, c)) == _hex(p)
+    table = p if isinstance(p, type) else _outcome(madow_table, p)
+    reference = table if isinstance(table, type) else (_hex(table[0]), max(p).hex())
+    assert _lane_table(counts, eta, c, 1) == reference
+    assert _lane_table(counts, eta, c, 3) == reference
+
+
+@st.composite
+def _peel_cases(draw):
+    # A lead of up to 5,000 counts at eta up to 5 passes the peel bound,
+    # ln(N - m) + 42 nats, for one or more files, on either side.
+    n = draw(st.integers(min_value=2, max_value=12))
+    order = draw(st.integers(min_value=0, max_value=n - 1))
+    counts = draw(st.lists(st.integers(min_value=0, max_value=60), min_size=n, max_size=n))
+    for k in draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=n)):
+        counts[k] += draw(st.integers(min_value=0, max_value=5_000))
+    eta = draw(st.floats(min_value=1e-3, max_value=5.0)) * draw(st.sampled_from((1, -1)))
+    return counts, eta, order
+
+
+@given(_peel_cases())
+@settings(max_examples=300, deadline=None)
+def test_peel_in_place_matches_the_reduced_problem(case):
+    # Peeled files keep their place with weight 0; the kept files' marginals
+    # are those of the reduced problem to the bit, errors included.
+    counts, eta, order = case
+    got = _outcome(sage_mod._hedge_marginals, counts, eta, order)
+    expect = _outcome(hedge_marginals_recursive_reference, counts, eta, order)
+    assert _hex(got) == _hex(expect)
+
+
+def test_peel_in_place_on_the_wide_path(monkeypatch):
+    # One file peeled (weight 0, a log weight of -inf); the top 59 of the
+    # other 120 split 30 at +22.6 and 29 at -23.4 nats, so e_30 passes
+    # 2**900 and the tables run in `decimal`.
+    wide = []
+    marginals_wide = sage_mod._marginals_wide
+
+    def counting(log_weights, order):
+        wide.append(log_weights.count(-math.inf))
+        return marginals_wide(log_weights, order)
+
+    monkeypatch.setattr(sage_mod, "_marginals_wide", counting)
+    counts = [46] * 30 + [0] * 90 + [100]
+    got = sage_mod._hedge_marginals(counts, 1.0, 60)
+    assert wide == [1]
+    assert _hex(got) == _hex(hedge_marginals_recursive_reference(counts, 1.0, 60))
 
 
 def test_sage_update_validates():
@@ -665,13 +715,13 @@ def _lane_eta(policy, misses: int) -> float:
     """The eta a policy plays at its current state after `misses` misses
     there: the eta its round hands the marginal evaluator."""
     played = []
-    marginals = sage_mod._marginals
+    running_sums = sage_mod._running_sums
 
     def spy(counts, eta, cache_size):
         played.append(eta)
-        return marginals(counts, eta, cache_size)
+        return running_sums(counts, eta, cache_size)
 
-    with mock.patch.object(sage_mod, "_marginals", spy):
+    with mock.patch.object(sage_mod, "_running_sums", spy):
         policy.table[policy.machine.current] = ([0] * policy.n_files, [misses])
         policy.step(0)
     return played[0]

@@ -80,6 +80,18 @@ def hedge_bruteforce_marginals(counts, eta: float, n_files: int, cache_size: int
     return [a / total for a in acc]
 
 
+def finish_reference(p, cache_size: int) -> list[float]:
+    """Marginals p scaled to sum to C and clamped to [0, 1], with the float
+    operations `sage._running_sums` finishes them with."""
+    s = math.fsum(p)
+    if not abs(s - cache_size) <= sage._MARGINAL_SUM_TOL:
+        raise sage.NumericError("marginals failed to normalize to the cache size")
+    if s != cache_size:
+        k = cache_size / s
+        p = [k * v for v in p]
+    return [min(max(v, 0.0), 1.0) for v in p]
+
+
 def madow_table(p) -> tuple[list[float], int]:
     """Checked cumulative sums of p, entries clamped at 1, and their total C:
     the table `sage._madow_walk` walks, from any inclusion probabilities."""
@@ -102,6 +114,64 @@ def madow_members(p, u: float) -> list[int]:
     raises the same error whatever index it is asked about."""
     cum, c = madow_table(p)
     return [x for x in range(len(p)) if sage._madow_walk(cum, c, u, x)]
+
+
+def madow_step_reference(cum: list[float], c: int, x: int) -> tuple[list[float], list]:
+    """The walk's answer for index x as a step function of u over [0, 1):
+    every comparison `sage._madow_walk` makes is `cum[j + 1] - i <= u`, so
+    its answer (1, 0 or the type of what it raises) is constant from one
+    such threshold up to the next. Returns the rising thresholds in [0, 1),
+    0 first, and the answer on each piece."""
+    cuts = {0.0}
+    for j in range(1, len(cum)):
+        for i in range(c):
+            t = cum[j] - i
+            if 0.0 < t < 1.0:
+                cuts.add(t)
+    cuts = sorted(cuts)
+    answers = []
+    for t in cuts:
+        try:
+            answers.append(sage._madow_walk(cum, c, t, x))
+        except (DomainError, sage.NumericError) as exc:
+            answers.append(type(exc))
+    return cuts, answers
+
+
+def madow_step_answer(step: tuple[list[float], list], u: float):
+    """The answer of a `madow_step_reference` step function at u in [0, 1)."""
+    cuts, answers = step
+    return answers[bisect_right(cuts, u) - 1]
+
+
+def hedge_marginals_recursive_reference(counts, eta: float, order: int) -> list[float]:
+    """`sage._hedge_marginals` with its peel as a recursion: the files past the
+    peel bound get q = 1 and the kept ones run as a reduced problem of their
+    own, at the order left."""
+    n = len(counts)
+    if order == 0:
+        return [0.0 if eta > 0 else 1.0] * n
+    ranked = sorted(counts, reverse=eta > 0)
+    bar = ranked[order]
+    cut = math.log(n - order) + sage._PEEL_NATS
+    if eta * (ranked[0] - bar) > cut:
+        kept = [i for i, x in enumerate(counts) if eta * (x - bar) <= cut]
+        p = [1.0 if eta > 0 else 0.0] * n
+        sub = hedge_marginals_recursive_reference([counts[i] for i in kept], eta,
+                                                  order - (n - len(kept)))
+        for i, v in zip(kept, sub):
+            p[i] = v
+        return p
+    ref = sum(ranked[:order]) / order
+    w = [math.exp(eta * (x - ref)) for x in counts]
+    esp = sage._esp_loo(w, order)
+    if esp is None:
+        q = sage._marginals_wide([eta * (x - ref) for x in counts], order)
+        return q if eta > 0 else [1.0 - v for v in q]
+    e, loo = esp
+    if eta > 0:
+        return [wi * f / e for wi, f in zip(w, loo)]
+    return [1.0 - wi * f / e for wi, f in zip(w, loo)]
 
 
 def eta_schedule_reference(n_files: int, cache_size: int, eta: float, misses: int,
