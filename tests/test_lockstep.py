@@ -246,6 +246,10 @@ def test_lookup_edges():
     with mock.patch.object(sage_mod, "_running_sums", lambda counts, eta, size: (cum, 0.7, None)):
         for x, u, hit in ((2, b, 0), (2, a, 1), (1, a, 0), (3, b, 1)):
             assert _lanes_answer(cum, 2, u, x) == sage_mod._madow_walk(cum, 2, u, x) == hit
+        # a draw outside [0, 1) fails on the lookup path as it does in the walk
+        for u in (1.0, -(2.0 ** -1074), math.nan):
+            assert _lanes_answer(cum, 2, u, 2) is DomainError
+            assert _outcome(sage_mod._madow_walk, cum, 2, u, 2) is DomainError
 
 
 # ---------------------------------------------------------------------------
