@@ -31,10 +31,10 @@ One evaluator computes the marginals, at order m = min(C, N - C):
   suffix table is built the same way from the back. Then
   e_{m-1}(w without i) = sum_a P_{i-1}[a] * S_{i+1}[m-1-a] adds
   nonnegative terms only: exact to rounding in O(N*m). At m = 1 that is
-  e_0 = 1 and there are no tables: at the README setting (N=3, C=2),
+  e_0 = 1 and the tables are one sum: at the README setting (N=3, C=2),
   p(i) = 1 - v(i) / sum(v) with v = 1/w, which a round's table
-  (`_running_sums`) computes directly, with the tables' float operations
-  in their order.
+  (`_running_sums`) computes on three scalars, with the tables' float
+  operations in their order.
 
 The tables run in plain doubles while every e_a(w), a <= m, stays at most
 2**900. A top group spread in two clusters can pass that bound (only at
@@ -79,6 +79,9 @@ _PLAIN_MAX = 2.0 ** 900
 _PEEL_NATS = 42.0
 
 _MARGINAL_SUM_TOL = 1e-9
+
+# `_hedge_marginals`'s peel bound, ln(N - m) + 42 nats, at N = 3, m = 1.
+_PEEL_CUT_3 = math.log(2) + _PEEL_NATS
 
 # No marginal, and no step of its running sums, below this can force the
 # walk's `j += 1`, while ulp(C) << 2**-30 (see `_lookup`).
@@ -187,27 +190,49 @@ def _marginals(counts, eta: float, cache_size: int) -> list[float]:
 def _running_sums(counts, eta: float, cache_size: int):
     """(cum, max(p), p): the running sums 0, p[0], p[0] + p[1], .. of the
     Hedge marginals p at order min(C, N - C) in one call, the table a
-    round's lanes read. p is scaled to sum to C and clamped to [0, 1]. At
-    order 1, unless the peel fires, p is w / sum(w), or 1 - w / sum(w) on
-    the complement side: the general tables' float operations in their
-    order, as their e_0 = 1 factors are `x * 1.0 == x`. Its peel test is
-    `_hedge_marginals`'s at order 1, repeated here: calling that function
-    for the closed form added 4% to the CPU of readme-sweep's 3-seed
-    learning jobs (12 alternations, 11 of 12)."""
+    round's lanes read. p is scaled to sum to C and clamped to [0, 1].
+
+    Three files at order 1 (C = 1 or 2, the README setting) take scalar
+    arithmetic, unless the peel fires: p is w / e, or 1 - w / e on the
+    complement side, with e = (w[0] + w[1]) + w[2]. These are
+    `_hedge_marginals`'s float operations in their order (the tables'
+    e_0 = 1 factors are `x * 1.0 == x`), so p is the same to the bit; only
+    a p above 1 after the scale (it is never below 0 at order 1, as each
+    w <= e) falls through to the clamp below, unscaled."""
     n = len(counts)
     if 2 * cache_size > n:  # the complement side, weights 1/w at order N - C
         eta, order = -eta, n - cache_size
     else:
         order = cache_size
     p = None
-    if order == 1:
-        ranked = sorted(counts, reverse=eta > 0)
-        ref = ranked[0]
-        if eta * (ref - ranked[1]) <= math.log(n - 1) + _PEEL_NATS:
+    if order == 1 and n == 3:
+        a, b, d = counts
+        hi, lo = (a, b) if a >= b else (b, a)  # ref and second, as sorted() ranks them
+        if d > hi:
+            hi, mid = d, hi
+        else:
+            mid = d if d > lo else lo
+        ref = hi if eta > 0 else (d if d < lo else lo)
+        if eta * (ref - mid) <= _PEEL_CUT_3:
             exp = math.exp
-            w = [exp(eta * (x - ref)) for x in counts]
-            e = reduce(add, w)
-            p = [v / e for v in w] if eta > 0 else [1.0 - v / e for v in w]
+            wa, wb, wd = exp(eta * (a - ref)), exp(eta * (b - ref)), exp(eta * (d - ref))
+            e = wa + wb + wd  # not sum(): it compensates since Python 3.12
+            if eta > 0:
+                pa, pb, pd = wa / e, wb / e, wd / e
+            else:
+                pa, pb, pd = 1.0 - wa / e, 1.0 - wb / e, 1.0 - wd / e
+            s = math.fsum((pa, pb, pd))
+            if s == cache_size:
+                qa, qb, qd = pa, pb, pd
+            else:
+                k = cache_size / s
+                qa, qb, qd = k * pa, k * pb, k * pd
+            top = qb if qb > qa else qa
+            if qd > top:
+                top = qd
+            if top <= 1.0 and abs(s - cache_size) <= _MARGINAL_SUM_TOL:
+                return [0.0, qa, qa + qb, qa + qb + qd], top, [qa, qb, qd]
+            p = [pa, pb, pd]
     if p is None:
         p = _hedge_marginals(counts, eta, order)
     s = math.fsum(p)
@@ -437,7 +462,10 @@ def _play_round(policy, draws, record, request: int, hits: bytearray) -> None:
             entry = shared.get(eta)
             if entry is None:
                 cum, top, _ = _running_sums(counts, eta, c)
-                if not abs(cum[-1] - c) <= _MARGINAL_SUM_TOL:  # each p is in [0, 1] already
+                # each p is in [0, 1] already, and sums to C by `fsum`; the
+                # running sum may round off C by up to N * ulp(C) / 2
+                drift = abs(cum[-1] - c)
+                if not (drift <= _MARGINAL_SUM_TOL or drift <= len(counts) * math.ulp(c) / 2):
                     raise DomainError(f"marginals sum to {cum[-1]}, not the cache size {c}")
                 entry = shared[eta] = lanes and _lookup(cum, top, c, request) or cum
             if entry.__class__ is tuple:

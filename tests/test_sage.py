@@ -1,9 +1,10 @@
 import math
+from itertools import accumulate
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unicache import (DomainError, EtaConfig, LzSagePolicy, MarkovSagePolicy, NumericError,
@@ -342,6 +343,31 @@ def test_plain_marginals_match_exact_reference(n, c, rounds, eta):
     assert _max_error(state.marginals(), expect) <= 1e-12
 
 
+def test_a_round_at_the_promised_scale_passes_the_lanes_sum_check():
+    # N = 1e4, C = 9,900 at the Zipf counts above: `fsum` of the finished p
+    # is C, but their left-to-right running sum drifts -1.45e-9, past 1e-9
+    # and within N * ulp(C) / 2 = 9.1e-9. One lane and three play the round.
+    n, c = 10_000, 9_900
+    counts = _zipf_counts(n, 200_000, seed=0)
+    policy = SagePolicy(n, c, EtaConfig(mode="fixed", eta=0.002))
+    policy.table[policy.machine.current] = (list(counts), [0])
+    assert policy.step(0) in (0, 1)
+    cum = sage_mod._running_sums(counts, 0.002, c)[0]
+    assert 1e-9 < abs(cum[-1] - c) <= n * math.ulp(c) / 2
+    hits = bytearray()
+    sage_mod._play_round(policy, (lambda: 0.5,) * 3, (list(counts), [0] * 3), 0, hits)
+    assert len(hits) == 3
+    # at N = 3 a total 5e-10 off C passes, as it did before; 2e-9 fails
+    small = SimpleNamespace(cache_size=2, mark0=1, etas=[1.0])
+    for total, ok in ((2.0 + 5e-10, True), (2.0 - 5e-10, True), (2.0 + 2e-9, False)):
+        off = [0.0, 0.5, 1.5, total]
+        with mock.patch.object(sage_mod, "_running_sums",
+                               lambda counts, eta, size: (off, 1.0, None)):
+            got = _outcome(sage_mod._play_round, small, (lambda: 0.5,) * 3,
+                           ([0] * 3, [0] * 3), 0, bytearray())
+        assert (got is None) if ok else (got is DomainError), total
+
+
 def test_zipf_trajectory_matches_exact_reference(monkeypatch):
     # Every round of the skewed golden replay (N=64, C=6, eta 0.3): the
     # counts spread until the top file is peeled, all in plain doubles.
@@ -444,9 +470,10 @@ def _lane_table(counts, eta, c, lanes):
 @st.composite
 def _order_one_cases(draw):
     # N=2 is order 1 on both sides; C = 1 and C = N - 1 are order 1 at every
-    # N. Counts cluster below 1e6 or spread over it, with one file up to
-    # 5,000 ahead so that the peel fires.
-    n = draw(st.one_of(st.just(2), st.integers(min_value=2, max_value=64)))
+    # N, and N=3 takes `_running_sums`'s scalar branch there. Counts cluster
+    # below 1e6 or spread over it, with one file up to 5,000 ahead so that
+    # the peel fires.
+    n = draw(st.one_of(st.just(2), st.just(3), st.integers(min_value=2, max_value=64)))
     c = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(min_value=1, max_value=n)))
     base = draw(st.integers(min_value=0, max_value=10**6 - 5_050))
     counts = draw(st.one_of(
@@ -475,12 +502,36 @@ def _order_one_reference(counts, side):
     return q if side > 0 else [1.0 - v for v in q]
 
 
+_CUT_3 = sage_mod._PEEL_CUT_3
+
+
+# Three files take `_running_sums`'s scalar branch; these cases pin its edges.
+# The peel bound met (kept) and passed (peeled): on the direct side the top
+# file leads by 1, on the complement side the bottom one trails by 1.
+@example(([0, 40, 41], 1, _CUT_3))
+@example(([0, 40, 41], 1, math.nextafter(_CUT_3, math.inf)))
+@example(([41, 1, 0], 2, _CUT_3))
+@example(([41, 1, 0], 2, math.nextafter(_CUT_3, math.inf)))
+# fsum(p) != C, so p is scaled by C / s
+@example(([66, 32, 58], 1, 0.113))
+@example(([24, 61, 52], 2, 0.754))
+# (w0 + w1) + w2 != w0 + (w1 + w2)
+@example(([999_951, 999_950, 999_952], 2, 0.125))
+# ties, for the first and for the second ranked count
+@example(([5, 5, 5], 1, 0.5))
+@example(([5, 5, 5], 2, 0.5))
+@example(([3, 9, 9], 1, 0.7))
+@example(([9, 3, 3], 2, 0.7))
+@example(([999_950, 999_952, 999_950], 2, 0.207))
+# counts near 1e6
+@example(([999_998, 1_000_000, 999_999], 1, 0.3))
+@example(([999_998, 1_000_000, 999_999], 2, 0.3))
 @given(_order_one_cases())
 @settings(max_examples=300, deadline=None)
 def test_order_one_marginals_and_lane_tables_are_bit_identical(case):
-    # `_running_sums` computes order 1 without the ESP tables; its marginals
-    # and its running sums must be the general path's floats to the bit, on
-    # one lane and on three.
+    # `_running_sums` computes order 1 without the ESP tables at N = 3; its
+    # marginals and its running sums must be the general path's floats to
+    # the bit, on one lane and on three.
     counts, c, eta = case
     n = len(counts)
     side, order = (-eta, n - c) if 2 * c > n else (eta, c)
@@ -492,6 +543,28 @@ def test_order_one_marginals_and_lane_tables_are_bit_identical(case):
     reference = table if isinstance(table, type) else (_hex(table[0]), max(p).hex())
     assert _lane_table(counts, eta, c, 1) == reference
     assert _lane_table(counts, eta, c, 3) == reference
+
+
+def test_three_files_scaled_past_one_are_clamped_from_the_unscaled_p():
+    # No p scaled past 1 from counts at N = 3 in millions of random cases
+    # (it needs a p of 1.0 with fsum(p) < C); an fsum that reads C - ulp(C)
+    # forces it. On the complement side p is [2**-52, 1 - 2**-52, 1.0];
+    # k = C / s lifts the last past 1, and the clamp must scale the
+    # unscaled p once, as the general path does.
+    counts, c, eta = [0, 36, 80], 2, 1.0
+    p = _order_one_reference(counts, -eta)
+    assert _hex(p) == [(2.0 ** -52).hex(), (1.0 - 2.0 ** -52).hex(), "0x1.0000000000000p+0"]
+    s = c - math.ulp(c)
+    expect = [min(k * v, 1.0) for k in (c / s,) for v in p]
+    assert expect[0] != (c / s) ** 2 * p[0]  # scaling twice would show
+    fake = SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
+    fake.fsum = lambda values: s
+    with mock.patch.object(sage_mod, "math", fake):
+        cum, top, got = sage_mod._running_sums(counts, eta, c)
+        assert _hex(got) == _hex(expect) and top == 1.0
+        assert _hex(cum) == _hex(list(accumulate(expect, initial=0.0)))
+        for lanes in (1, 3):
+            assert _lane_table(counts, eta, c, lanes) == (_hex(cum), top.hex())
 
 
 @st.composite
