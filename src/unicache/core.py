@@ -232,29 +232,52 @@ def load_trace(path) -> RequestTrace:
     included); blank lines are skipped. A malformed line or an id outside
     the library is a hard error naming the line number.
 
-    The body is read in blocks of about `_BLOCK_HINT` characters, each
-    converted by one `map(int, ...)`. A block holding a blank or malformed
-    line is redone line by line, which skips the blanks and names the bad
-    line; the whole text is never held at once.
+    The body is read in chunks of `_BLOCK_HINT` characters, split on
+    newlines; a chunk's partial last line is carried into the next one. Each
+    block of whole lines maps through a dict from line spelling to id, so a
+    line spelled as an earlier one costs a lookup, not a parse. The dict
+    learns only from blocks that one `map(int, ...)` read whole, so each
+    spelling maps to exactly what `int` reads from it. A block with a
+    spelling the dict lacks is converted by `map(int, ...)`; one holding a
+    blank or malformed line is redone line by line, which skips the blanks
+    and names the bad line. The ids, errors and line numbers are those of
+    reading line by line. The dict stops learning once it holds as many
+    spellings as the block in hand (the last block learned can take it to
+    twice that), so like the text it stays about a block in size; a trace
+    of mostly new ids (N near T) converts by `map(int, ...)` as before.
     """
     requests: list[int] = []
     declared_n = None
     base = 0
     with open(path, "r", encoding="ascii") as fh:
         try:
-            block, lineno = fh.readlines(1), 1
-            if block and (first := block[0].strip()).startswith("#"):
+            tail, lineno = fh.readline(), 1
+            if (first := tail.strip()).startswith("#"):
                 declared_n, base = _parse_trace_header(first, path)
-                block, lineno = fh.readlines(_BLOCK_HINT), 2
-            while block:
+                tail, lineno = "", 2
+            spellings: dict[str, int] = {}
+            while True:
+                chunk = fh.read(_BLOCK_HINT)
+                lines = (tail + chunk).split("\n")
+                # At the end of the file the last piece is the last line, or
+                # "" after a final newline, which is skipped as blank.
+                tail = lines.pop() if chunk else ""
                 mark = len(requests)
                 try:
-                    requests += map(int, block)
-                except ValueError:
+                    requests += map(spellings.__getitem__, lines)
+                except KeyError:
                     del requests[mark:]
-                    requests += _ids_by_line(block, lineno, path)
-                lineno += len(block)
-                block = fh.readlines(_BLOCK_HINT)
+                    try:
+                        requests += map(int, lines)
+                    except ValueError:
+                        del requests[mark:]
+                        requests += _ids_by_line(lines, lineno, path)
+                    else:
+                        if len(spellings) < len(lines):
+                            spellings.update(zip(lines, requests[mark:]))
+                lineno += len(lines)
+                if not chunk:
+                    break
         except UnicodeDecodeError:
             raise DataError(f"{path}: not an ASCII text file") from None
     if base == 1:
@@ -270,7 +293,7 @@ def load_trace(path) -> RequestTrace:
         raise _out_of_range(path, base, n - 1 + base) from None
 
 
-# Characters per block of trace lines: a few thousand short lines.
+# Characters per chunk of trace text: a few thousand short lines.
 _BLOCK_HINT = 1 << 14
 
 

@@ -321,16 +321,16 @@ class EtaConfig:
 
     mode "fixed": eta stays at its initial value. If `eta` is not given, the
     initial value is sqrt(2 * ln(N e / C) / max(1, C * horizon)) using the
-    horizon hint (default horizon 1, which is also the doubling start).
+    horizon hint (default horizon 1). The hint serves this mode only.
 
-    mode "doubling": eta starts at the same initial value and shrinks by a
-    factor sqrt(2) each time the instance's own cumulative miss count
-    reaches a doubling threshold, so eta tracks ~ eta0 / sqrt(m) after m
-    misses, the rate a loss-adaptive tuning would follow. The first
-    threshold is ceil(C ln(N e / C)): misses below the additive term of the
-    loss-dependent regret cap are free, so they should not slow learning.
-    Counts are kept across shrinks. Both schedules are pragmatic stand-ins
-    for a fully adaptive tuning.
+    mode "doubling": eta starts at `eta`, or else at the horizon-1 value
+    whatever the hint, and shrinks by a factor sqrt(2) each time the
+    instance's own cumulative miss count reaches a doubling threshold, so
+    eta tracks ~ eta0 / sqrt(m) after m misses, the rate a loss-adaptive
+    tuning would follow. The first threshold is ceil(C ln(N e / C)): misses
+    below the additive term of the loss-dependent regret cap are free, so
+    they should not slow learning. Counts are kept across shrinks. Both
+    schedules are pragmatic stand-ins for a fully adaptive tuning.
     """
 
     __slots__ = ("mode", "eta", "horizon")
@@ -348,7 +348,7 @@ class EtaConfig:
     def initial_eta(self, n_files: int, cache_size: int) -> float:
         if self.eta is not None:
             return self.eta
-        rounds = self.horizon if self.horizon is not None else 1
+        rounds = self.horizon if self.horizon is not None and self.mode == "fixed" else 1
         span = math.log(n_files * math.e / cache_size)
         return math.sqrt(2.0 * span / max(1, cache_size * rounds))
 

@@ -293,6 +293,57 @@ def test_load_trace_block_edges(tmp_path):
                 assert got == (9, [7] * (len(body) - 1))
 
 
+def test_load_trace_spellings_at_the_chunk_boundary(tmp_path):
+    # Lines that the spellings learned from "7" do not cover, on either side
+    # of the first chunk boundary at the real chunk size, in a 0-based and a
+    # 1-based file: other spellings of the same id, CRLF and lone-CR line
+    # ends, a padded line longer than a chunk, and a last line with no
+    # newline.
+    p = tmp_path / "edge.trace"
+    hint = core._BLOCK_HINT
+    edge = 2 + hint // 2  # "7\n" lines: the first line of the second chunk
+    for header, d in (("# N=9 BASE=0\n", "7"), ("# N=9 BASE=1\n", "8")):
+        body = [d + "\n"] * hint
+        for lineno in (edge - 1, edge, edge + 1):
+            i = lineno - 2
+            cases = [(body[:i] + [text] + body[i + 1:], len(body))
+                     for text in (f"+{d}\n", f" {d}\n", f"00{d}\n", f"0_{d}\n", f"{d}\r\n",
+                                  f"{d}\r", " " * hint + f"{d}\t\n")]
+            cases += [(body[:i] + [last], i + 1) for last in (d, f"+{d}", f" {d} ")]
+            cases.append((body[:i] + ["0\n" if d == "8" else "9\n"] + body[i + 1:], None))
+            for lines, count in cases:
+                p.write_bytes((header + "".join(lines)).encode("ascii"))
+                got = _outcome(load_trace, p)
+                assert got == _outcome(load_trace_reference, p), (header, lineno, lines[i])
+                if count is None:
+                    assert f":{lineno}: file id " in got
+                else:
+                    assert got == (9, [7] * count), (header, lineno, lines[i])
+
+
+def test_load_trace_learns_about_one_block_of_spellings(tmp_path):
+    # A trace of all-distinct ids: what the loader holds beyond its request
+    # list, the learned spellings included, stays within a couple of blocks.
+    rounds = 200_000
+    ids = [x * 7919 % rounds for x in range(rounds)]
+    p = tmp_path / "distinct.trace"
+    p.write_text(f"# N={rounds} BASE=0\n" + "".join(f"{x}\n" for x in ids))
+    texts = [str(x) for x in ids]
+    tracemalloc.start()
+    try:
+        requests = []
+        requests += map(int, texts)
+        alone = tracemalloc.get_traced_memory()[1]
+        del requests
+        tracemalloc.reset_peak()
+        trace = load_trace(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.requests == ids
+    assert peak - alone < 2_000_000, (peak, alone)
+
+
 def test_load_trace_holds_one_block_of_lines(tmp_path):
     # Peak memory is the request list and one block, not every line string
     # at once (~50 bytes per line).

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -271,6 +272,29 @@ seeds = 0:2
         if r.policy == "markov:2":
             expect = bounds_mod.markov_regret_bound(2, horizon - markov_hits, 4, 2)
             assert r.bound_value == pytest.approx(expect, rel=1e-12)
+
+
+def test_readme_config_keeps_sage_and_markov_within_their_bounds(tmp_path):
+    # README's config text, with its commented generator in place of the
+    # trace path (Q=50, N=3, C=2, T=1e5, 20 seeds). It sets eta_mode =
+    # doubling with horizon_hint = 100000: doubling must still start from
+    # the horizon-1 eta, or the learners learn less than the bound column
+    # allows (sage 1,888 and markov:4 14,894 mean regret with the hint).
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.search(r"```ini\n(\[trace\].*?)```", readme, re.S).group(1)
+    text = re.sub(r"^path = .*\n", "", text, flags=re.M)
+    text = re.sub(r"^# ((states|files|rounds|seed) = )", r"\1", text, flags=re.M)
+    config = tmp_path / "exp.ini"
+    config.write_text(text)
+    cfg = parse_config(config)
+    assert (cfg.gen_states, cfg.gen_files, cfg.gen_rounds, cfg.gen_seed) == (50, 3, 100_000, 7)
+    assert (cfg.eta_mode, cfg.horizon_hint, len(cfg.seeds)) == ("doubling", 100_000, 20)
+    rows = run_experiment(cfg)
+    for policy, column in (("sage", "regret_static"), ("markov:4", "regret_markov_k")):
+        cells = [r for r in rows if r.policy == policy]
+        assert len(cells) == 20 and len({r.bound_value for r in cells}) == 1
+        mean_regret = sum(getattr(r, column) for r in cells) / len(cells)
+        assert mean_regret <= cells[0].bound_value, (policy, mean_regret, cells[0].bound_value)
 
 
 def test_summarize_recomputes_mean(tmp_path):
